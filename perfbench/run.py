@@ -19,7 +19,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ["thm12-cd-tree", "dense-1m", "registry-grid-256", "matrix-cd-star"]
+WORKLOADS = ["thm12-cd-tree", "dense-32k", "registry-grid-256", "matrix-cd-star"]
 # What the benchmark's build reads: the workspace crates, the vendored
 # shims, the manifests, and the benchmark itself.
 SOURCES = ["crates", "shims", "datasets", "perfbench", "Cargo.toml", "Cargo.lock"]

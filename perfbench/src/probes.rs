@@ -27,7 +27,7 @@ impl Probe {
     }
 }
 
-/// The dense pattern every probe and the `dense-1m` workload share:
+/// The dense pattern every probe and the `dense-32k` workload share:
 /// vertices with `(v + t + offset) % 16 == 0` send, the rest listen.
 pub fn sends(v: NodeId, t: u64, offset: u64) -> bool {
     (v as u64 + t + offset).is_multiple_of(16)

@@ -22,7 +22,7 @@ use crate::trace::Tracer;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     Thm12CdTree,
-    Dense1m,
+    Dense32k,
     RegistryGrid256,
     MatrixCdStar,
 }
@@ -30,7 +30,7 @@ pub enum Workload {
 impl Workload {
     pub const ALL: [Workload; 4] = [
         Workload::Thm12CdTree,
-        Workload::Dense1m,
+        Workload::Dense32k,
         Workload::RegistryGrid256,
         Workload::MatrixCdStar,
     ];
@@ -38,7 +38,7 @@ impl Workload {
     pub fn name(self) -> &'static str {
         match self {
             Workload::Thm12CdTree => "thm12-cd-tree",
-            Workload::Dense1m => "dense-1m",
+            Workload::Dense32k => "dense-32k",
             Workload::RegistryGrid256 => "registry-grid-256",
             Workload::MatrixCdStar => "matrix-cd-star",
         }
@@ -80,8 +80,8 @@ impl Ctx {
     fn tree_n(&self) -> usize {
         match (self.workload, self.smoke) {
             (_, true) => 1023,
-            (Workload::Dense1m, false) => (1 << 20) - 1,
-            _ => (1 << 14) - 1,
+            (Workload::Dense32k, false) => (1 << 15) - 1,
+            _ => (1 << 13) - 1,
         }
     }
 
@@ -96,7 +96,7 @@ impl Ctx {
     /// The graph the radio probes run on: the workload's largest graph.
     pub fn probe_graph(&self) -> Arc<Graph> {
         let (family, n) = match self.workload {
-            Workload::Thm12CdTree | Workload::Dense1m => (Family::BinaryTree, self.tree_n()),
+            Workload::Thm12CdTree | Workload::Dense32k => (Family::BinaryTree, self.tree_n()),
             Workload::RegistryGrid256 => (Family::Grid, self.grid_n()),
             Workload::MatrixCdStar => (matrix_families(self.smoke)[0], MATRIX_SIZES[3]),
         };
@@ -246,7 +246,7 @@ pub fn setup_only(ctx: &Ctx) -> Duration {
 fn dispatch(ctx: &Ctx, tr: &mut Tracer, run: bool) -> Iteration {
     match ctx.workload {
         Workload::Thm12CdTree => thm12_cd_tree(ctx, tr, run),
-        Workload::Dense1m => dense_1m(ctx, tr, run),
+        Workload::Dense32k => dense_32k(ctx, tr, run),
         Workload::RegistryGrid256 => registry_grid_256(ctx, tr, run),
         Workload::MatrixCdStar => matrix_cd_star(ctx, tr, run),
     }
@@ -277,12 +277,12 @@ fn thm12_cd_tree(ctx: &Ctx, tr: &mut Tracer, run: bool) -> Iteration {
     it
 }
 
-/// Dense slots per model in `dense-1m`.
-const DENSE_SLOTS: u64 = 16;
+/// Dense slots per model in `dense-32k`.
+const DENSE_SLOTS: u64 = 128;
 
 /// The dense kernel once per model, then naive flooding under LOCAL, on
-/// the 2^20 − 1-vertex binary tree.
-fn dense_1m(ctx: &Ctx, tr: &mut Tracer, run: bool) -> Iteration {
+/// the 2^15 − 1-vertex binary tree.
+fn dense_32k(ctx: &Ctx, tr: &mut Tracer, run: bool) -> Iteration {
     let mut it = Iteration::default();
     let offset = ctx.seed % 16;
     let t = Instant::now();
@@ -405,8 +405,8 @@ fn matrix_families(smoke: bool) -> Vec<Family> {
     }
 }
 
-/// The scenario matrix under CD*, cold against a fresh cell cache, then
-/// warm against the cache the cold pass filled.
+/// The scenario matrix's clean cells under CD*, cold against a fresh cell
+/// cache, then warm against the cache the cold pass filled.
 fn matrix_cd_star(ctx: &Ctx, tr: &mut Tracer, run: bool) -> Iteration {
     let mut it = Iteration::default();
     let spec = find_experiment("scenario_matrix").expect("registered experiment");
@@ -417,6 +417,7 @@ fn matrix_cd_star(ctx: &Ctx, tr: &mut Tracer, run: bool) -> Iteration {
         seeds: Some(1),
         model: Some("cd-star".into()),
         family: ctx.smoke.then(|| Family::Cycle.name().into()),
+        fault: Some("none".into()),
         budget_ms: Some(UNLIMITED_BUDGET_MS),
         cache_dir: Some(cells.clone()),
         ..RunConfig::default()

@@ -9,7 +9,7 @@ use ebc_bench::json::Json;
 
 const WORKLOADS: [&str; 4] = [
     "thm12-cd-tree",
-    "dense-1m",
+    "dense-32k",
     "registry-grid-256",
     "matrix-cd-star",
 ];
@@ -134,7 +134,7 @@ fn thm12_cd_tree_smoke() {
 }
 
 #[test]
-fn dense_1m_smoke() {
+fn dense_32k_smoke() {
     check(WORKLOADS[1], 0, "end_to_end");
     check(WORKLOADS[1], 1, "per_layer");
 }
