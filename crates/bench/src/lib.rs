@@ -35,8 +35,6 @@
 //!   serialize through (schema-stable field order), with a parser for
 //!   reading baselines back.
 //! * [`report`] — aligned human-readable tables of the same results.
-//! * [`serve`] (unix) — the `--serve` loop answering fingerprint,
-//!   warm-cell, profile, and telemetry-trace queries over a unix socket.
 //!
 //! The CLI (`cargo run -p ebc-bench -- --list`) and the `cargo bench`
 //! targets under `benches/` are thin wrappers over [`run_to_files`].
@@ -54,8 +52,6 @@ pub mod json;
 pub mod measure;
 pub mod report;
 pub mod scenario;
-#[cfg(unix)]
-pub mod serve;
 pub mod stats;
 
 pub use experiments::{

@@ -1,7 +1,5 @@
 //! Round-trips the telemetry layer's Chrome trace-event export through
-//! the bench crate's JSON parser — the same parser `--serve`'s
-//! `telemetry` verb and CI's smoke validation read the file with. A
-//! malformed export (bad escaping, missing required fields, spans that
+//! the bench crate's JSON parser. A malformed export (bad escaping, missing required fields, spans that
 //! don't nest) fails here before it fails inside Perfetto.
 
 use ebc_bench::json::Json;

@@ -1,12 +1,7 @@
-//! Packed `u64` bitset words — the struct-of-arrays state of the engine.
+//! Packed `u64` bitset words: one bit per device, 64 devices per word.
 //!
-//! The hot loops keep the per-slot transmitting/listening sets as one bit
-//! per device, 64 devices per word: at n = 10^6 the transmitting set is
-//! 128 KB and stays cache-resident, where a `Vec<u32>` of per-node marks
-//! is 4 MB and thrashes. Collision resolution probes this set once per
-//! CSR neighbor-row entry ([`crate::Graph::neighbor_row`]) with
-//! model-specific early exit, so a listener's cost is `O(deg)` bit tests
-//! against warm words instead of `O(deg)` cold scattered reads.
+//! Holds the fault layer's down-set and the event engine's per-slot
+//! listening set.
 
 /// A fixed-capacity set over `0..n`, packed 64 bits per `u64` word.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,25 +57,6 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Removes every member of `other` from this set, word-parallel
-    /// (`self &= !other`). Used by the fault layer to mask crashed and
-    /// churned-out devices out of a slot's transmitting set in
-    /// `O(capacity / 64)` word ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets have different capacities.
-    pub fn and_not(&mut self, other: &BitSet) {
-        assert_eq!(
-            self.words.len(),
-            other.words.len(),
-            "cannot mask bitsets of different capacities"
-        );
-        for (w, m) in self.words.iter_mut().zip(&other.words) {
-            *w &= !m;
-        }
-    }
-
     /// The backing words, 64 bits each, lowest indices in word 0.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -115,28 +91,6 @@ mod tests {
         s.clear();
         assert_eq!(s.count_ones(), 0);
         assert!(s.words().iter().all(|&w| w == 0));
-    }
-
-    #[test]
-    fn and_not_masks_word_parallel() {
-        let mut s = BitSet::new(130);
-        let mut mask = BitSet::new(130);
-        for i in [0, 63, 64, 100, 129] {
-            s.insert(i);
-        }
-        mask.insert(63);
-        mask.insert(100);
-        mask.insert(7); // not in s: masking a non-member is a no-op
-        s.and_not(&mask);
-        assert!(s.contains(0) && s.contains(64) && s.contains(129));
-        assert!(!s.contains(63) && !s.contains(100));
-        assert_eq!(s.count_ones(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different capacities")]
-    fn and_not_rejects_mismatched_capacities() {
-        BitSet::new(64).and_not(&BitSet::new(128));
     }
 
     #[test]

@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn charge_after_skip_counts_skipped_slots_in_time() {
-        use crate::{from_fns, Action, Graph, Model, Sim};
+        use crate::{from_fns, Action, Graph, Model, Schedule, Sim};
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
         let mut sim = Sim::new(g, Model::NoCd, 1);
         sim.skip(50);
@@ -445,7 +445,13 @@ mod tests {
             },
             |_v, _t, _fb| {},
         );
-        sim.run(&[0, 1], 1, &mut b);
+        sim.drive(
+            Schedule::Dense {
+                participants: &[0, 1],
+                slots: 1,
+            },
+            &mut b,
+        );
         let r = sim.meter().report();
         assert_eq!(r.total, 2);
         // Time counts through the skipped region up to the active slot.

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use crate::bitset::BitSet;
 use crate::model::{resolve_row, Action, Feedback, Model};
 use crate::telemetry::Telemetry;
-use crate::trace::Trace;
 use crate::{EnergyMeter, Graph, NodeId, Slot};
 
 /// When a device next wants to wake.
@@ -64,9 +63,9 @@ pub struct EventEngine {
     meter: EnergyMeter,
     /// Opt-in structured recorder; `None` keeps every hook to one check.
     telemetry: Option<Box<Telemetry>>,
+    /// Scratch: per-node index+1 into the current slot's sender list (0
+    /// when not transmitting).
     sending: Vec<u32>,
-    /// Scratch: the packed transmitting set of the current slot.
-    tx: BitSet,
     /// Scratch: the packed listening set of the current slot.
     listening: BitSet,
 }
@@ -85,7 +84,6 @@ impl EventEngine {
             meter: EnergyMeter::new(n),
             telemetry: None,
             sending: vec![0; n],
-            tx: BitSet::new(n),
             listening: BitSet::new(n),
         }
     }
@@ -140,22 +138,6 @@ impl EventEngine {
         if let Some(t) = &mut self.telemetry {
             t.record_gauge(name, slot, value);
         }
-    }
-
-    /// Compatibility shim for the retired string-based trace: enables
-    /// telemetry. Ported callers use [`EventEngine::enable_telemetry`].
-    #[doc(hidden)]
-    #[deprecated(note = "use enable_telemetry(); the string-based trace is retired")]
-    pub fn enable_trace(&mut self) {
-        self.enable_telemetry();
-    }
-
-    /// Compatibility shim: reconstructs a [`Trace`] view from telemetry
-    /// events (payload strings are empty — see [`Trace::from_telemetry`]).
-    #[doc(hidden)]
-    #[deprecated(note = "use telemetry(); the string-based trace is retired")]
-    pub fn trace(&self) -> Option<Trace> {
-        self.telemetry.as_deref().map(Trace::from_telemetry)
     }
 
     /// Runs `protocol` until every device terminates or a device asks to
@@ -231,15 +213,15 @@ impl EventEngine {
             }
             for (i, (v, _)) in senders.iter().enumerate() {
                 self.sending[*v] = i as u32 + 1;
-                self.tx.insert(*v);
             }
+            let sending = &self.sending;
             for &v in &awake {
                 let heard = if self.listening.contains(v) {
                     let fb = resolve_row(
                         self.model,
                         self.graph.neighbor_row(v),
-                        &self.tx,
-                        &self.sending,
+                        |u| sending[u as usize] != 0,
+                        sending,
                         &senders,
                     );
                     if let Some(tel) = &mut self.telemetry {
@@ -263,7 +245,6 @@ impl EventEngine {
             }
             for (v, _) in &senders {
                 self.sending[*v] = 0;
-                self.tx.remove(*v);
             }
             for &v in &listeners {
                 self.listening.remove(v);

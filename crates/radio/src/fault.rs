@@ -164,12 +164,8 @@ pub trait FaultModel: core::fmt::Debug {
     /// Whether device `v` is currently down (crashed or churned out).
     fn is_down(&self, v: NodeId) -> bool;
 
-    /// The packed down-set, one bit per device — the engine masks the
-    /// slot's transmitting set against it word-parallel.
-    fn down(&self) -> &BitSet;
-
     /// Whether any device is currently down (fast-path gate for the
-    /// per-participant and word-parallel masking).
+    /// per-participant masking in the poll loop).
     fn any_down(&self) -> bool;
 
     /// The channel verdict for `slot`. Called at most once per simulated
@@ -180,7 +176,8 @@ pub trait FaultModel: core::fmt::Debug {
     fn verdict(&mut self, slot: Slot, any_tx: bool) -> SlotVerdict;
 
     /// Whether deliveries must be filtered per (listener, sender) edge.
-    /// When `false` the engine keeps the word-parallel row probe.
+    /// When `false` the engine resolves through the row scan with no
+    /// per-edge check.
     fn filters_edges(&self) -> bool;
 
     /// Whether the directed delivery `sender → listener` survives
@@ -370,10 +367,6 @@ impl FaultModel for FaultState {
         self.down_count > 0 && self.down.contains(v)
     }
 
-    fn down(&self) -> &BitSet {
-        &self.down
-    }
-
     fn any_down(&self) -> bool {
         self.down_count > 0
     }
@@ -515,7 +508,7 @@ mod tests {
         // slot catches up on everything due.
         s.begin_slot(100);
         assert!(s.is_down(0) && s.is_down(2));
-        assert_eq!(s.down().count_ones(), 2);
+        assert_eq!(s.down_count(), 2);
     }
 
     #[test]

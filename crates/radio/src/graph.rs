@@ -221,10 +221,10 @@ impl Graph {
 
     /// The CSR row of `v`: its neighbors as a sorted `&[u32]` slice.
     ///
-    /// This is the word-parallel engines' entry point — callers test each
-    /// row entry against a packed bitset instead of driving the
-    /// [`neighbors`] iterator, and the sorted order means the first set bit
-    /// found belongs to the lowest-id transmitting neighbor.
+    /// This is the collision resolver's entry point — it scans the row
+    /// directly instead of driving the [`neighbors`] iterator, and the
+    /// sorted order means the first transmitting neighbor found is the
+    /// lowest-id one.
     ///
     /// # Panics
     ///

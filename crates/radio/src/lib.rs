@@ -26,11 +26,16 @@
 //!   dynamic wake-queue fed by [`SlotBehavior`] hints), charging energy
 //!   only for scheduled participants, while [`Sim::skip`] advances the
 //!   global clock over provably-idle regions so reported *time* still
-//!   counts them. Collision resolution is word-parallel: the transmitting
-//!   set is a packed [`BitSet`] probed per CSR neighbor-row entry.
+//!   counts them.
 //! * [`EventEngine`] — an event-driven engine with a wake queue, for
 //!   protocols whose wake times are data-dependent (the paper's §8 path
 //!   algorithm). Nodes implement [`Protocol`].
+//!
+//! Both engines resolve collisions through one kernel: a scan of each
+//! listener's sorted CSR neighbor row ([`Graph::neighbor_row`]) that tests
+//! every neighbor against the slot's sender index and exits early per
+//! model. [`resolve`] states the same semantics over an iterator of
+//! transmitting neighbors.
 //!
 //! # Example
 //!
@@ -68,7 +73,6 @@ mod model;
 pub mod rng;
 mod sim;
 pub mod telemetry;
-mod trace;
 
 pub use bitset::BitSet;
 pub use energy::{EnergyMeter, EnergyReport};
@@ -78,8 +82,6 @@ pub use graph::{Graph, GraphError};
 pub use model::{resolve, Action, Feedback, Model};
 pub use sim::{from_fns, Schedule, Sim, SlotBehavior, SparseSchedule};
 pub use telemetry::{EventKind, Gauge, SlotCounters, SlotEvent, Span, Telemetry};
-#[doc(hidden)]
-pub use trace::{Trace, TraceEvent, TraceKind};
 
 /// Index of a device (vertex) in the network, in `0..n`.
 pub type NodeId = usize;

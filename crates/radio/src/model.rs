@@ -1,6 +1,5 @@
 //! Collision models and channel resolution.
 
-use crate::bitset::BitSet;
 use crate::NodeId;
 
 /// The collision-detection model governing what listeners hear (paper §1).
@@ -167,32 +166,35 @@ pub fn resolve<M: Clone>(model: Model, senders: impl Iterator<Item = (NodeId, M)
     }
 }
 
-/// Resolves one listener's feedback against the packed transmitting set.
+/// Resolves one listener's feedback by scanning its CSR neighbor row.
 ///
-/// `row` is the listener's sorted CSR neighbor row; `tx` marks the slot's
-/// transmitting devices; `sending[u]` is the 1-based index of `u` in
-/// `senders` (0 when not transmitting). The listener hears a message iff
-/// exactly one neighbor bit is set in `tx`; the 0/1/many count maps to
-/// model feedback exactly as [`resolve`] does, but the scan early-exits
-/// per model: CD\* and Beep stop at the first set bit (sorted rows make it
-/// the lowest-id sender), No-CD and CD at the second, and only LOCAL walks
-/// the full row to collect every message. Messages are cloned only on
-/// actual delivery.
+/// `row` is the listener's sorted neighbor row; `hears(u)` is the slot's
+/// test for whether the listener hears neighbor `u` transmit (the caller's
+/// `sending[u] != 0`, with any per-edge fault filter folded in);
+/// `sending[u]` is the 1-based index of `u` in `senders`. The 0/1/many
+/// count maps to model feedback exactly as [`resolve`] does, but the scan
+/// early-exits per model: CD\* and Beep stop at the first heard neighbor
+/// (sorted rows make it the lowest-id sender), No-CD and CD at the second,
+/// and only LOCAL walks the full row to collect every message. Messages
+/// are cloned only on actual delivery.
 pub(crate) fn resolve_row<M: Clone>(
     model: Model,
     row: &[u32],
-    tx: &BitSet,
+    hears: impl Fn(u32) -> bool,
     sending: &[u32],
     senders: &[(NodeId, M)],
 ) -> Feedback<M> {
     let msg = |u: u32| senders[sending[u as usize] as usize - 1].1.clone();
     match model {
         Model::Local => {
-            let msgs: Vec<M> = row
-                .iter()
-                .filter(|&&u| tx.contains(u as usize))
-                .map(|&u| msg(u))
-                .collect();
+            // A plain loop, not `collect`: the silent majority of listeners
+            // then never leave this function.
+            let mut msgs = Vec::new();
+            for &u in row {
+                if hears(u) {
+                    msgs.push(msg(u));
+                }
+            }
             if msgs.is_empty() {
                 Feedback::Silence
             } else {
@@ -200,13 +202,13 @@ pub(crate) fn resolve_row<M: Clone>(
             }
         }
         Model::Beep => {
-            if row.iter().any(|&u| tx.contains(u as usize)) {
+            if row.iter().any(|&u| hears(u)) {
                 Feedback::Beep
             } else {
                 Feedback::Silence
             }
         }
-        Model::CdStar => match row.iter().find(|&&u| tx.contains(u as usize)) {
+        Model::CdStar => match row.iter().find(|&&u| hears(u)) {
             // Rows are sorted, so the first transmitting neighbor found is
             // the lowest-id one — CD*'s pick whether it is alone or not.
             Some(&u) => Feedback::One(msg(u)),
@@ -215,7 +217,7 @@ pub(crate) fn resolve_row<M: Clone>(
         Model::NoCd | Model::Cd => {
             let mut first: Option<u32> = None;
             for &u in row {
-                if tx.contains(u as usize) {
+                if hears(u) {
                     if first.is_some() {
                         return match model {
                             Model::NoCd => Feedback::Silence,
@@ -327,10 +329,10 @@ mod tests {
     #[test]
     fn resolve_row_agrees_with_iterator_resolve() {
         // Every subset of a 4-neighbor row, under every model, must match
-        // the iterator-based reference resolver exactly.
+        // the iterator-based resolver exactly — also with a hearing
+        // filter that drops neighbor 4's deliveries.
         let row: Vec<u32> = vec![1, 2, 4, 7];
         for mask in 0u32..16 {
-            let mut tx = BitSet::new(8);
             let mut sending = vec![0u32; 8];
             let senders: Vec<(NodeId, u32)> = row
                 .iter()
@@ -340,12 +342,15 @@ mod tests {
                 .collect();
             for (i, &(v, _)) in senders.iter().enumerate() {
                 sending[v] = i as u32 + 1;
-                tx.insert(v);
             }
+            let tx = |u: u32| sending[u as usize] != 0;
             for model in Model::ALL {
-                let via_row = resolve_row(model, &row, &tx, &sending, &senders);
+                let via_row = resolve_row(model, &row, tx, &sending, &senders);
                 let via_iter = resolve(model, senders.iter().cloned());
                 assert_eq!(via_row, via_iter, "{model} mask {mask}");
+                let via_row = resolve_row(model, &row, |u| tx(u) && u != 4, &sending, &senders);
+                let via_iter = resolve(model, senders.iter().filter(|s| s.0 != 4).cloned());
+                assert_eq!(via_row, via_iter, "{model} mask {mask}, 4 filtered");
             }
         }
     }

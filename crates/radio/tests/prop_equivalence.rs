@@ -1,18 +1,19 @@
-//! Differential property suite: the word-parallel bitset engine must be
-//! bit-for-bit equivalent to the retained dense reference loop — informed
-//! set, per-node energy, clock, `last_active`, `idle_skipped` — across
-//! every collision model, on random graphs, random scripted behaviors,
-//! and all three [`Schedule`] shapes (dense, sparse, dynamic).
+//! Differential property suite: [`Sim::drive`] must be bit-for-bit
+//! equivalent to an independent naive oracle — informed set, feedback log,
+//! per-node energy, clock, `last_active` — across every collision model,
+//! on random graphs, random scripted behaviors, all three [`Schedule`]
+//! shapes (dense, sparse, dynamic), and the fault plans.
 //!
-//! This extends the relay-chain equivalence test in `sim.rs` from one
-//! hand-built scenario to the generated scenario space: any divergence in
-//! the row-probe collision resolution ([`resolve_row`] early exits, CD\*'s
-//! lowest-id pick, LOCAL's ascending message order) or in the schedule
-//! drivers' clock/energy accounting fails here with the case seed.
+//! The oracle shares no code with the engine's slot kernel: it polls every
+//! device in every slot and resolves each listener through the public
+//! [`resolve`] over [`Graph::neighbors`]. Any divergence in the row scan's
+//! early exits, CD\*'s lowest-id pick, LOCAL's ascending message order,
+//! the edge-loss filter, or the schedule drivers' clock/energy accounting
+//! fails here with the case seed.
 
 use ebc_radio::{
-    Action, FaultPlan, Feedback, Graph, JammerStrategy, Model, NodeId, Schedule, Sim, SlotBehavior,
-    SparseSchedule,
+    resolve, Action, FaultModel, FaultPlan, Feedback, Graph, JammerStrategy, Model, NodeId,
+    Schedule, Sim, SlotBehavior, SparseSchedule,
 };
 use proptest::prelude::*;
 
@@ -63,8 +64,8 @@ fn random_graph(n: usize, seed: u64) -> Graph {
 }
 
 /// A scripted behavior: the action of `(v, t)` is a pure function of the
-/// seed, so the reference loop and every schedule shape replay the exact
-/// same script. Records everything the engines must agree on.
+/// seed, so the oracle and every schedule shape replay the exact same
+/// script. Records everything the runs must agree on.
 struct Scripted {
     seed: u64,
     slots: u64,
@@ -148,11 +149,104 @@ fn outcome(sim: &Sim, b: Scripted) -> Outcome {
     }
 }
 
+/// The independent oracle: a naive dense loop over every device and slot,
+/// resolving each listener with the public [`resolve`] over
+/// [`Graph::neighbors`]. With `edges`, a delivery survives only where the
+/// fault model's [`FaultModel::edge_alive`] verdict keeps it.
+fn naive(
+    graph: &Graph,
+    model: Model,
+    script_seed: u64,
+    slots: u64,
+    edges: Option<&dyn FaultModel>,
+) -> Outcome {
+    let n = graph.n();
+    let mut b = Scripted::new(script_seed, n, slots);
+    let mut energy = vec![0u64; n];
+    let mut last_active = None;
+    for t in 0..slots {
+        let actions: Vec<Action<u32>> = (0..n).map(|v| b.act(v, t)).collect();
+        for (v, action) in actions.iter().enumerate() {
+            if action.energy() > 0 {
+                energy[v] += action.energy();
+                last_active = Some(t);
+            }
+        }
+        for v in (0..n).filter(|&v| actions[v].listens()) {
+            let heard = graph.neighbors(v).filter_map(|u| {
+                let alive = edges.map_or(true, |f| f.edge_alive(t, v, u));
+                actions[u].message().filter(|_| alive).map(|&m| (u, m))
+            });
+            let fb = resolve(model, heard);
+            b.feedback(v, t, fb);
+        }
+    }
+    Outcome {
+        informed: b.informed,
+        log: b.log,
+        energy,
+        clock: slots,
+        last_active,
+    }
+}
+
+/// The schedule shapes every equivalence case is driven under.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Dense,
+    Sparse,
+    Dynamic,
+}
+
+/// Drives `sim` with a fresh script under `shape`: dense polls every
+/// device every slot, sparse names exactly the scripted active polls, and
+/// dynamic follows the script's wake hints.
+fn drive(sim: &mut Sim, shape: Shape, script_seed: u64, slots: u64) -> Outcome {
+    let n = sim.graph().n();
+    let all: Vec<NodeId> = (0..n).collect();
+    let mut b = Scripted::new(script_seed, n, slots);
+    match shape {
+        Shape::Dense => sim.drive(
+            Schedule::Dense {
+                participants: &all,
+                slots,
+            },
+            &mut b,
+        ),
+        Shape::Sparse => {
+            let mut sparse = SparseSchedule::new();
+            for t in 0..slots {
+                let row: Vec<NodeId> = (0..n).filter(|&v| b.active(v, t)).collect();
+                if !row.is_empty() {
+                    sparse.push(t, row);
+                }
+            }
+            sim.drive(
+                Schedule::Sparse {
+                    schedule: &sparse,
+                    slots,
+                },
+                &mut b,
+            );
+            // Every unscheduled slot was batch-skipped, not simulated.
+            assert_eq!(sim.meter().idle_skipped(), slots - sparse.len() as u64);
+        }
+        Shape::Dynamic => sim.drive(
+            Schedule::Dynamic {
+                participants: &all,
+                slots,
+            },
+            &mut b,
+        ),
+    }
+    outcome(sim, b)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Telemetry differential: enabling the recorder must not perturb the
-    /// engine. A traced dense drive must match the untraced reference —
+    /// engine. A traced dense drive must match the untraced one —
     /// informed set, feedback log, per-node energy, clock, `last_active`,
     /// `idle_skipped`, and the rng-driven collision outcomes folded into
     /// all of those — bit-for-bit on every model, while actually
@@ -165,20 +259,18 @@ proptest! {
         slots in 1u64..20,
     ) {
         let graph = random_graph(n, graph_seed);
-        let all: Vec<NodeId> = (0..n).collect();
         for model in Model::ALL {
             let mut plain_sim = Sim::new(graph.clone(), model, 0);
-            let mut plain_b = Scripted::new(script_seed, n, slots);
-            plain_sim.drive(Schedule::Dense { participants: &all, slots }, &mut plain_b);
-            let plain_skipped = plain_sim.meter().idle_skipped();
-            let plain = outcome(&plain_sim, plain_b);
+            let plain = drive(&mut plain_sim, Shape::Dense, script_seed, slots);
 
             let mut traced_sim = Sim::new(graph.clone(), model, 0);
             traced_sim.enable_telemetry();
-            let mut traced_b = Scripted::new(script_seed, n, slots);
-            traced_sim.drive(Schedule::Dense { participants: &all, slots }, &mut traced_b);
-            prop_assert_eq!(traced_sim.meter().idle_skipped(), plain_skipped);
-            prop_assert_eq!(&outcome(&traced_sim, traced_b), &plain, "traced vs plain, {}", model);
+            let traced = drive(&mut traced_sim, Shape::Dense, script_seed, slots);
+            prop_assert_eq!(
+                traced_sim.meter().idle_skipped(),
+                plain_sim.meter().idle_skipped()
+            );
+            prop_assert_eq!(&traced, &plain, "traced vs plain, {}", model);
 
             // The recorder really recorded: a scripted sender exists in
             // almost every case, and whenever one does the event ring and
@@ -192,121 +284,53 @@ proptest! {
     }
 }
 
-/// The zero-cost-when-off claim, measured: the untraced drive must not be
-/// slower than the traced one beyond generous noise margins (median of
-/// three runs each; the off path is a single `Option` check per slot).
-/// This is deliberately one-sided — it catches the off path accidentally
-/// growing recording work, without flaking on machine noise.
-#[test]
-fn telemetry_off_costs_nothing_measurable() {
-    let n = 192;
-    let slots = 384;
-    let graph = random_graph(n, 0xfeed);
-    let all: Vec<NodeId> = (0..n).collect();
-    let run = |traced: bool| {
-        let mut sim = Sim::new(graph.clone(), Model::Local, 0);
-        if traced {
-            sim.enable_telemetry();
-        }
-        let mut b = Scripted::new(0xbeef, n, slots);
-        let start = std::time::Instant::now();
-        sim.drive(
-            Schedule::Dense {
-                participants: &all,
-                slots,
-            },
-            &mut b,
-        );
-        start.elapsed()
-    };
-    let median = |traced: bool| {
-        let mut times: Vec<_> = (0..3).map(|_| run(traced)).collect();
-        times.sort();
-        times[1]
-    };
-    let off = median(false);
-    let on = median(true);
-    assert!(
-        off <= on.mul_f64(1.25) + std::time::Duration::from_millis(50),
-        "telemetry-off drive slower than traced: off={off:?} on={on:?}"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn bitset_engine_matches_dense_reference_on_all_models(
+    fn drive_matches_naive_oracle_on_all_models(
         n in 2usize..40,
         graph_seed in any::<u64>(),
         script_seed in any::<u64>(),
         slots in 1u64..24,
     ) {
         let graph = random_graph(n, graph_seed);
-        let all: Vec<NodeId> = (0..n).collect();
         for model in Model::ALL {
-            // Oracle: the retained iterator-based dense loop.
-            let mut ref_sim = Sim::new(graph.clone(), model, 0);
-            let mut ref_b = Scripted::new(script_seed, n, slots);
-            ref_sim.run_reference(&all, slots, &mut ref_b);
-            let reference = outcome(&ref_sim, ref_b);
-
-            // Bitset path, dense schedule.
-            let mut dense_sim = Sim::new(graph.clone(), model, 0);
-            let mut dense_b = Scripted::new(script_seed, n, slots);
-            dense_sim.drive(Schedule::Dense { participants: &all, slots }, &mut dense_b);
-            let ref_skipped = ref_sim.meter().idle_skipped();
-            prop_assert_eq!(dense_sim.meter().idle_skipped(), ref_skipped);
-            prop_assert_eq!(&outcome(&dense_sim, dense_b), &reference, "dense vs reference, {}", model);
-
-            // Bitset path, sparse schedule naming exactly the active polls.
-            let probe = Scripted::new(script_seed, n, slots);
-            let mut sparse = SparseSchedule::new();
-            for t in 0..slots {
-                let row: Vec<NodeId> = (0..n).filter(|&v| probe.active(v, t)).collect();
-                if !row.is_empty() {
-                    sparse.push(t, row);
-                }
+            let oracle = naive(&graph, model, script_seed, slots, None);
+            for shape in [Shape::Dense, Shape::Sparse, Shape::Dynamic] {
+                let mut sim = Sim::new(graph.clone(), model, 0);
+                let got = drive(&mut sim, shape, script_seed, slots);
+                prop_assert_eq!(&got, &oracle, "{:?} vs oracle, {}", shape, model);
             }
-            let mut sparse_sim = Sim::new(graph.clone(), model, 0);
-            let mut sparse_b = Scripted::new(script_seed, n, slots);
-            sparse_sim.drive(Schedule::Sparse { schedule: &sparse, slots }, &mut sparse_b);
-            prop_assert_eq!(&outcome(&sparse_sim, sparse_b), &reference, "sparse vs reference, {}", model);
 
-            // Bitset path, dynamic wake-queue fed by the scripted hints.
-            let mut dyn_sim = Sim::new(graph.clone(), model, 0);
-            let mut dyn_b = Scripted::new(script_seed, n, slots);
-            dyn_sim.drive(Schedule::Dynamic { participants: &all, slots }, &mut dyn_b);
-            prop_assert_eq!(&outcome(&dyn_sim, dyn_b), &reference, "dynamic vs reference, {}", model);
-
-            // Sparse/dynamic batch-skip all-idle slots; the clock already
-            // matched above, so skipped + simulated is conserved.
-            prop_assert_eq!(sparse_sim.meter().idle_skipped(), slots - sparse.len() as u64);
-
-            // Fault differential: a faulted drive at zero strength — every
-            // plan kind with probability 0, empty event lists, or a jammer
-            // that never fires — must pin the informed set, feedback log,
-            // per-node energy, clock, `last_active`, and `idle_skipped`
-            // bit-for-bit against the reference dense loop.
+            // Fault differential: a faulted dense drive at zero strength —
+            // every plan kind with probability 0, empty event lists, or a
+            // jammer that never fires — must match the clean oracle
+            // bit-for-bit, simulate every slot, and destroy no send.
             for plan in zero_strength_plans() {
                 let name = plan.name();
-                let mut fault_sim = Sim::with_faults(graph.clone(), model, 0, plan);
-                let mut fault_b = Scripted::new(script_seed, n, slots);
-                fault_sim.drive(Schedule::Dense { participants: &all, slots }, &mut fault_b);
-                prop_assert_eq!(fault_sim.meter().idle_skipped(), ref_skipped);
+                let mut sim = Sim::with_faults(graph.clone(), model, 0, plan);
+                let got = drive(&mut sim, Shape::Dense, script_seed, slots);
+                prop_assert_eq!(sim.meter().idle_skipped(), 0);
                 prop_assert_eq!(
-                    fault_sim.meter().total_lost_sends(),
+                    sim.meter().total_lost_sends(),
                     0,
                     "zero-strength {} destroyed a send",
                     name
                 );
-                prop_assert_eq!(
-                    &outcome(&fault_sim, fault_b),
-                    &reference,
-                    "faulted({}) vs reference, {}",
-                    name,
-                    model
-                );
+                prop_assert_eq!(&got, &oracle, "faulted({}) vs oracle, {}", name, model);
+            }
+
+            // Edge loss at p = 0.3 filters deliveries inside the row scan;
+            // the oracle drops the same ones through the public per-edge
+            // verdicts of the run's own fault state.
+            for shape in [Shape::Dense, Shape::Sparse, Shape::Dynamic] {
+                let plan = FaultPlan::EdgeLoss { p: 0.3 };
+                let mut sim = Sim::with_faults(graph.clone(), model, 0, plan);
+                let got = drive(&mut sim, shape, script_seed, slots);
+                let edges = sim.fault_state().expect("active plan");
+                let lossy = naive(&graph, model, script_seed, slots, Some(edges));
+                prop_assert_eq!(&got, &lossy, "edge-loss {:?} vs oracle, {}", shape, model);
             }
         }
     }
