@@ -28,7 +28,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::analysis::{self, ci_from_json, ci_json, FIT_METRICS};
+use crate::analysis::{self, ci_from_json, FIT_METRICS};
 use crate::cache::CacheStats;
 use crate::experiments::{ExperimentResult, Gateable};
 use crate::json::Json;
@@ -120,10 +120,10 @@ pub fn baseline_doc(result: &ExperimentResult) -> Json {
     // cell; other experiments compute theirs here (usually no cells).
     let fit_rows = match result.extra.iter().find(|(k, _)| *k == "fits") {
         Some((_, fits)) => fit_rows_from_json(fits),
-        None => fit_rows_from_cells(&analysis::scaling_fits(
+        None => fit_rows_from_json(&analysis::fits_to_json(&analysis::scaling_fits(
             &result.cases,
             result.config.resamples(),
-        )),
+        ))),
     };
     Json::obj()
         .field("schema_version", crate::experiments::SCHEMA_VERSION)
@@ -139,39 +139,8 @@ pub fn baseline_doc(result: &ExperimentResult) -> Json {
         .field("fits", Json::Arr(fit_rows))
 }
 
-/// The per-fit gate rows, distilled from freshly computed [`analysis`]
-/// cells. Must stay field-for-field identical to [`fit_rows_from_json`].
-fn fit_rows_from_cells(fits: &[analysis::CellFit]) -> Vec<Json> {
-    let mut rows = Vec::new();
-    for cell in fits {
-        for m in &cell.metrics {
-            if !FIT_METRICS.contains(&m.metric) {
-                continue;
-            }
-            rows.push(
-                Json::obj()
-                    .field(
-                        "cell",
-                        format!("{}/{}/{}", cell.algorithm, cell.family, cell.model),
-                    )
-                    .field("metric", m.metric)
-                    .field("points", m.points)
-                    .field("class", m.class.as_str())
-                    .field("class_confident", m.class_confident)
-                    .field(
-                        "exponent",
-                        m.power.map_or(Json::Null, |f| Json::Num(f.slope)),
-                    )
-                    .field("exponent_ci", ci_json(m.exponent_ci)),
-            );
-        }
-    }
-    rows
-}
-
-/// The per-fit gate rows, lifted from an experiment's already-serialized
-/// `fits` section ([`analysis::fits_to_json`] layout). Must stay
-/// field-for-field identical to [`fit_rows_from_cells`].
+/// The per-fit gate rows, lifted from a serialized `fits` section
+/// ([`analysis::fits_to_json`] layout), in [`FIT_METRICS`] order.
 fn fit_rows_from_json(fits: &Json) -> Vec<Json> {
     let mut rows = Vec::new();
     for cell in fits.as_arr().unwrap_or(&[]) {

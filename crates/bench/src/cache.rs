@@ -13,20 +13,19 @@
 //!   deliberately **not** part of the key: the budget decides which cells
 //!   run, never what a cell measures, so a budgeted smoke run and an
 //!   unlimited gate run share entries for the cells they have in common.
-//! * the **code-version fingerprint**: one source digest per workspace
-//!   crate feeding the cell ([`SourceDigests`]), stored alongside the
-//!   result. A lookup revalidates each dependency digest against the
-//!   current sources, so a `crates/graphs` edit invalidates every cell
-//!   that builds a graph while a `crates/singlehop` edit only invalidates
-//!   the cells whose algorithms reach single-hop code
-//!   ([`deps_for`]). The `bench` digest covers only the measurement
-//!   recipes (`experiments.rs`, `scenario.rs`, `measure.rs`) — report or
-//!   gate-layer changes never invalidate measured cells. Cells whose
-//!   `family` is dataset-derived additionally carry one `dataset:<file>`
-//!   pseudo-dependency per backing file, digesting the dataset's
-//!   *content* — editing the dataset on disk invalidates exactly the
-//!   dataset-backed cells, the same way a source edit invalidates its
-//!   dependents.
+//! * the **code-version fingerprint** ([`SourceDigests`]), stored
+//!   alongside the result and revalidated on every lookup. Every cell
+//!   depends on `code`: one digest of everything the running binary was
+//!   built from, compiled in by `build.rs` — the root manifest and
+//!   lockfile, the manifest, build script and sources of every crate
+//!   under `crates/` and `shims/` (so the vendored `rand` behind every
+//!   node's coins too), the build profile and `rustc -V` (see
+//!   `source_closure.rs`). Any such edit, once rebuilt, invalidates
+//!   every cell; an edit the running binary was not built from
+//!   invalidates nothing. Cells whose `family` is dataset-derived
+//!   additionally carry one `dataset:<file>` pseudo-dependency per backing
+//!   file, digesting the dataset's *content* as it is on disk at run time
+//!   — editing the dataset invalidates exactly the dataset-backed cells.
 //!
 //! Entries live under `<cache-dir>/<hh>/<hash16>.json` (two-hex-char
 //! shards of the FNV-1a key hash). Each entry stores the full key (hash
@@ -43,103 +42,33 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
+use ebc_graphs::datasets::{family_files, file_digest, sample_path, SAMPLE_FILES};
+
 use crate::json::Json;
 use crate::measure::{Case, Measurement};
+pub use crate::source_closure::fnv1a64;
+use crate::source_closure::Fnv;
 
 /// Cache entry schema version; entries with another version are misses.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
-
-/// The workspace crates that can feed a cell, in digest order.
-pub const DEP_CRATES: [&str; 5] = ["radio", "graphs", "singlehop", "core", "bench"];
-
-/// Dependency set of cells that execute single-hop (leader-election /
-/// SR-transform) code — at module granularity, everything that reaches
-/// `ebc_core::srcomm` or `ebc_core::reduction`.
-pub const FULL_DEPS: &[&str] = &DEP_CRATES;
-
-/// Dependency set of cells that provably never reach `ebc-singlehop`:
-/// flooding, BGI decay, and the §8 path algorithm live in modules that
-/// import only the engine, the graph layer, and core utilities.
-pub const NO_SINGLEHOP_DEPS: &[&str] = &["radio", "graphs", "core", "bench"];
-
-/// Algorithms whose cells take [`NO_SINGLEHOP_DEPS`]; everything else is
-/// conservatively given the full set (an over-approximation is always
-/// sound — it can only cause extra re-runs, never a stale hit).
-const NO_SINGLEHOP_ALGOS: [&str; 3] = ["naive_flood", "bgi_decay", "path_theorem21"];
-
-/// The bench-crate sources that shape measurements (the `bench` digest).
-const BENCH_RECIPE_FILES: [&str; 3] = ["experiments.rs", "scenario.rs", "measure.rs"];
-
-/// Streaming FNV-1a 64-bit hash — stable across platforms and runs, which
-/// is all a cache key needs (this is not a cryptographic boundary).
-#[derive(Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv {
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a of one byte string.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::default();
-    h.update(bytes);
-    h.finish()
-}
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 fn hex16(h: u64) -> String {
     format!("{h:016x}")
 }
 
-/// The dependency set of one cell, from its experiment and params: the
-/// crate set plus — for cells whose `family` param names a
-/// dataset-derived family — one `dataset:<file>` pseudo-dependency per
-/// backing file, so editing the dataset on disk invalidates exactly the
-/// cells whose graphs were built from it. (Before this, dataset-backed
-/// cells were keyed only on crate sources and would serve stale results
-/// after a dataset edit.)
-///
-/// The `algorithm` param (the registry name) drives the crate split; the
-/// `fig1_path` experiment is the path algorithm by construction and gets
-/// the same treatment despite carrying no `algorithm` param. Unknown
-/// algorithms — and experiments whose cells mix primitives (`ablation`,
-/// `table1_lower`) — take the full set.
-pub fn deps_for(experiment: &str, params: &[(&'static str, Json)]) -> Vec<&'static str> {
-    let algorithm = params
-        .iter()
-        .find(|(k, _)| *k == "algorithm")
-        .and_then(|(_, v)| v.as_str());
-    let crates: &[&str] = if experiment == "fig1_path" {
-        NO_SINGLEHOP_DEPS
-    } else {
-        match algorithm {
-            Some(a) if NO_SINGLEHOP_ALGOS.contains(&a) => NO_SINGLEHOP_DEPS,
-            _ => FULL_DEPS,
-        }
-    };
-    let mut deps: Vec<&'static str> = crates.to_vec();
+/// The dependency set of one cell, from its params: `code`, plus — for
+/// cells whose `family` param names a dataset-derived family — one
+/// `dataset:<file>` pseudo-dependency per backing file, so editing the
+/// dataset on disk invalidates exactly the cells whose graphs were built
+/// from it.
+pub fn deps_for(params: &[(&'static str, Json)]) -> Vec<&'static str> {
+    let mut deps = vec!["code"];
     if let Some(family) = params
         .iter()
         .find(|(k, _)| *k == "family")
         .and_then(|(_, v)| v.as_str())
     {
-        for file in ebc_graphs::datasets::family_files(family) {
+        for file in family_files(family) {
             deps.push(dataset_dep(file));
         }
     }
@@ -175,58 +104,45 @@ pub fn case_key(experiment: &str, params: &[(&'static str, Json)], seeds: u64) -
     format!("{experiment}|seeds={seeds}|{}", parts.join("|"))
 }
 
-/// Per-crate source digests — the code-version half of every cache key.
+/// The code-version half of every cache key: the `code` digest and one
+/// content digest per vendored dataset file.
 #[derive(Debug, Clone)]
 pub struct SourceDigests {
     digests: BTreeMap<&'static str, String>,
 }
 
 impl SourceDigests {
-    /// Computes digests from the default source root: `$EBC_SRC_ROOT` if
-    /// set, else the workspace root this binary was built from.
-    pub fn compute() -> Result<SourceDigests, String> {
-        Self::compute_at(&default_root())
+    /// The digests of this binary: the `code` digest compiled in by
+    /// `build.rs`, and the content digest of every vendored dataset file
+    /// where the loaders read it ([`sample_path`], so `--dataset-dir`
+    /// moves both). A missing file digests as `"absent"`, so adding the
+    /// file later reads as a content change.
+    pub fn compute() -> SourceDigests {
+        Self::from_parts(env!("EBC_CODE_DIGEST"), sample_path)
     }
 
-    /// Computes digests for the workspace rooted at `root` (tests point
-    /// this at planted source trees).
-    ///
-    /// Besides the per-crate digests, every vendored dataset file gets a
-    /// `dataset:<file>` digest — the content key dataset-backed cells
-    /// validate against. Dataset files resolve through
-    /// `$EBC_DATASET_DIR` when set (the `--dataset-dir` flag), else
-    /// `<root>/datasets`; a missing file digests as `"absent"`, so
-    /// adding the file later reads as a content change.
-    pub fn compute_at(root: &Path) -> Result<SourceDigests, String> {
+    /// `code` plus the content digest of each vendored dataset file at
+    /// `path_of(file)` (tests plant their own).
+    fn from_parts(code: &str, path_of: impl Fn(&str) -> PathBuf) -> SourceDigests {
         let mut digests = BTreeMap::new();
-        for krate in DEP_CRATES {
-            digests.insert(krate, crate_digest(root, krate)?);
-        }
-        let dataset_root = match std::env::var_os("EBC_DATASET_DIR") {
-            Some(dir) => PathBuf::from(dir),
-            None => root.join("datasets"),
-        };
-        for file in ebc_graphs::datasets::SAMPLE_FILES {
-            let digest = match std::fs::read(dataset_root.join(file)) {
-                Ok(bytes) => hex16(fnv1a64(&bytes)),
-                Err(_) => "absent".to_string(),
-            };
+        digests.insert("code", code.to_string());
+        for file in SAMPLE_FILES {
+            let digest = file_digest(&path_of(file)).unwrap_or_else(|_| "absent".to_string());
             digests.insert(dataset_dep(file), digest);
         }
-        Ok(SourceDigests { digests })
+        SourceDigests { digests }
     }
 
-    /// The digest under `key` (a crate name or `dataset:<file>`), if
-    /// this fingerprint knows it.
+    /// The digest under `key` (`code` or `dataset:<file>`), if this
+    /// fingerprint knows it.
     pub fn try_digest(&self, key: &str) -> Option<&str> {
         self.digests.get(key).map(String::as_str)
     }
 
-    /// The digest of one crate (panics on names outside [`DEP_CRATES`]).
-    pub fn digest(&self, krate: &str) -> &str {
-        self.digests
-            .get(krate)
-            .unwrap_or_else(|| panic!("unknown dep crate {krate:?}"))
+    /// The digest under `key` (panics on unknown keys).
+    pub fn digest(&self, key: &str) -> &str {
+        self.try_digest(key)
+            .unwrap_or_else(|| panic!("unknown dependency {key:?}"))
     }
 
     /// One combined fingerprint over `deps`' digests — order-independent
@@ -236,90 +152,32 @@ impl SourceDigests {
         sorted.sort_unstable();
         sorted.dedup();
         let mut h = Fnv::default();
-        for krate in sorted {
-            h.update(krate.as_bytes());
+        for dep in sorted {
+            h.update(dep.as_bytes());
             h.update(b"=");
-            h.update(self.digest(krate).as_bytes());
+            h.update(self.digest(dep).as_bytes());
             h.update(b"\n");
         }
         hex16(h.finish())
     }
 
     /// The combined fingerprint over every dependency this store knows —
-    /// all crates *and* all dataset files — what CI keys its cross-run
-    /// cache restore on. A dataset edit moves it just like a source edit.
+    /// the code *and* all dataset files — what CI keys its cross-run
+    /// cache restore on. A dataset edit moves it just like a rebuild from
+    /// edited sources.
     pub fn combined(&self) -> String {
         let keys: Vec<&str> = self.digests.keys().copied().collect();
         self.fingerprint(&keys)
     }
 
-    /// All per-crate digests as a JSON object (the stats payload).
+    /// All digests as a JSON object (the stats payload).
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();
-        for (krate, digest) in &self.digests {
-            obj = obj.field(krate, digest.as_str());
+        for (dep, digest) in &self.digests {
+            obj = obj.field(dep, digest.as_str());
         }
         obj
     }
-}
-
-/// The workspace root the digests read sources from.
-fn default_root() -> PathBuf {
-    match std::env::var_os("EBC_SRC_ROOT") {
-        Some(root) => PathBuf::from(root),
-        // crates/bench → crates → workspace root.
-        None => Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root")
-            .to_path_buf(),
-    }
-}
-
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        let path = entry.path();
-        if path.is_dir() {
-            walk_rs(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Digest of one crate's sources: every `.rs` under `crates/<name>/src`
-/// (for `bench`, only the measurement-recipe files), hashed as sorted
-/// `(relative path, contents)` pairs.
-fn crate_digest(root: &Path, krate: &str) -> Result<String, String> {
-    let src = root.join("crates").join(krate).join("src");
-    let mut files = Vec::new();
-    if krate == "bench" {
-        for name in BENCH_RECIPE_FILES {
-            files.push(src.join(name));
-        }
-    } else {
-        walk_rs(&src, &mut files)?;
-    }
-    files.sort();
-    let mut h = Fnv::default();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let body =
-            std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        h.update(rel.as_bytes());
-        h.update(b"\0");
-        h.update(&body);
-        h.update(b"\0");
-    }
-    Ok(hex16(h.finish()))
 }
 
 /// Hit/miss/invalidation counters for one run (or one experiment).
@@ -329,7 +187,7 @@ pub struct CacheStats {
     pub hits: usize,
     /// Cells absent from the store (first sight of this config).
     pub misses: usize,
-    /// Cells present but built under different source digests.
+    /// Cells present but stored under different dependency digests.
     pub invalidated: usize,
 }
 
@@ -358,7 +216,7 @@ impl CacheStats {
 
 /// What one lookup found.
 pub enum Lookup {
-    /// The cell is warm: a stored case built under the current sources.
+    /// The cell is warm: a stored case built under the current digests.
     Hit(Case),
     /// No entry under this key.
     Miss,
@@ -375,15 +233,14 @@ pub struct CellCache {
 }
 
 impl CellCache {
-    /// Opens (creating if needed) the store at `dir`, fingerprinting the
-    /// default source root.
+    /// Opens (creating if needed) the store at `dir` under this binary's
+    /// [`SourceDigests::compute`].
     pub fn open(dir: impl Into<PathBuf>) -> Result<CellCache, String> {
-        let digests = SourceDigests::compute()?;
-        Self::open_with(dir, digests)
+        Self::open_with(dir, SourceDigests::compute())
     }
 
     /// Opens the store at `dir` under pre-computed digests (tests plant
-    /// their own source trees).
+    /// their own).
     pub fn open_with(dir: impl Into<PathBuf>, digests: SourceDigests) -> Result<CellCache, String> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
@@ -391,7 +248,7 @@ impl CellCache {
         Ok(CellCache { dir, digests })
     }
 
-    /// The source digests this store validates entries against.
+    /// The digests this store validates entries against.
     pub fn digests(&self) -> &SourceDigests {
         &self.digests
     }
@@ -406,8 +263,8 @@ impl CellCache {
         self.dir.join(&hash[..2]).join(format!("{hash}.json"))
     }
 
-    /// Looks `key` up, revalidating the entry's per-crate digests against
-    /// the current sources for exactly the crates in `deps`.
+    /// Looks `key` up, revalidating the entry's dependency digests against
+    /// the current ones for exactly the dependencies in `deps`.
     pub fn lookup(&self, key: &str, deps: &[&str]) -> Lookup {
         let Some((entry, fresh)) = self.read_entry(key) else {
             return Lookup::Miss;
@@ -431,7 +288,7 @@ impl CellCache {
     }
 
     /// Reads the raw entry under `key`, if any, plus whether every stored
-    /// dependency digest still matches the current sources. Key mismatches
+    /// dependency digest still matches the current one. Key mismatches
     /// (hash collisions) read as absent.
     pub fn read_entry(&self, key: &str) -> Option<(Json, bool)> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
@@ -443,8 +300,8 @@ impl CellCache {
         }
         let fresh = match entry.get("deps") {
             Some(Json::Obj(pairs)) => pairs.iter().all(|(dep, digest)| {
-                // Unknown dependency names — a crate this build doesn't
-                // know, a dataset file no longer vendored — read as not
+                // Unknown dependency names — a key from an older layout,
+                // a dataset file no longer vendored — read as not
                 // fresh, never as a panic.
                 self.digests
                     .try_digest(dep)
@@ -470,8 +327,8 @@ impl CellCache {
         let mut sorted: Vec<&str> = deps.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        for krate in sorted {
-            dep_obj = dep_obj.field(krate, self.digests.digest(krate));
+        for dep in sorted {
+            dep_obj = dep_obj.field(dep, self.digests.digest(dep));
         }
         let entry = Json::obj()
             .field("cache_schema", CACHE_SCHEMA_VERSION)
@@ -561,29 +418,17 @@ mod tests {
         )
     }
 
-    /// A planted two-crate source tree under a temp root; returns the
-    /// root. Each crate gets one `src/lib.rs` with distinct contents.
-    fn plant_tree(tag: &str) -> PathBuf {
-        let root = std::env::temp_dir().join(format!("ebc_cache_tree_{tag}_{}", line!()));
-        std::fs::remove_dir_all(&root).ok();
-        for krate in DEP_CRATES {
-            let src = root.join("crates").join(krate).join("src");
-            std::fs::create_dir_all(&src).unwrap();
-            if krate == "bench" {
-                for f in BENCH_RECIPE_FILES {
-                    std::fs::write(src.join(f), format!("// {krate}/{f} v1\n")).unwrap();
-                }
-            } else {
-                std::fs::write(src.join("lib.rs"), format!("// {krate} v1\n")).unwrap();
-            }
-        }
-        root
+    /// Digests under a planted `code` value, with dataset files read from
+    /// `<temp>/ebc_cache_datasets_<tag>` (empty unless the test writes).
+    fn planted(tag: &str, code: &str) -> SourceDigests {
+        let dir = std::env::temp_dir().join(format!("ebc_cache_datasets_{tag}"));
+        SourceDigests::from_parts(code, |file| dir.join(file))
     }
 
-    fn temp_cache(tag: &str, root: &Path) -> CellCache {
+    fn temp_cache(tag: &str) -> CellCache {
         let dir = std::env::temp_dir().join(format!("ebc_cache_store_{tag}"));
         std::fs::remove_dir_all(&dir).ok();
-        CellCache::open_with(dir, SourceDigests::compute_at(root).unwrap()).unwrap()
+        CellCache::open_with(dir, planted(tag, "c0de")).unwrap()
     }
 
     #[test]
@@ -595,12 +440,12 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_identical() {
-        let root = plant_tree("roundtrip");
-        let cache = temp_cache("roundtrip", &root);
+        let cache = temp_cache("roundtrip");
         let case = sample_case();
         let key = case_key("scenario_matrix", &case.params, 3);
-        cache.store(&key, NO_SINGLEHOP_DEPS, &case).unwrap();
-        match cache.lookup(&key, NO_SINGLEHOP_DEPS) {
+        let deps = deps_for(&case.params);
+        cache.store(&key, &deps, &case).unwrap();
+        match cache.lookup(&key, &deps) {
             Lookup::Hit(loaded) => {
                 // Bit-identical: the serialized documents (params, summary
                 // statistics, raw measurements) match byte for byte.
@@ -637,86 +482,45 @@ mod tests {
 
     #[test]
     fn config_change_is_a_miss_not_a_stale_hit() {
-        let root = plant_tree("config");
-        let cache = temp_cache("config", &root);
+        let cache = temp_cache("config");
         let case = sample_case();
         let key = case_key("scenario_matrix", &case.params, 3);
-        cache.store(&key, FULL_DEPS, &case).unwrap();
+        cache.store(&key, &["code"], &case).unwrap();
         // More seeds → different key → miss.
         let other = case_key("scenario_matrix", &case.params, 4);
-        assert!(matches!(cache.lookup(&other, FULL_DEPS), Lookup::Miss));
+        assert!(matches!(cache.lookup(&other, &["code"]), Lookup::Miss));
     }
 
     #[test]
-    fn source_change_invalidates_only_dependent_cells() {
-        // The planted-staleness contract: two cells, one depending on
-        // singlehop and one not. Changing crates/singlehop re-runs only
-        // the dependent cell; the other still hits.
-        let root = plant_tree("staleness");
-        let store_dir = std::env::temp_dir().join("ebc_cache_store_staleness");
-        std::fs::remove_dir_all(&store_dir).ok();
-        let cache =
-            CellCache::open_with(&store_dir, SourceDigests::compute_at(&root).unwrap()).unwrap();
+    fn rewritten_code_digest_reads_as_invalidated() {
+        // An entry whose stored `code` digest is not this binary's — here
+        // rewritten on disk — must re-run, never hit.
+        let cache = temp_cache("code_rewrite");
         let case = sample_case();
-        let flood_key = case_key("scenario_matrix", &case.params, 3);
-        let mut t11_params = case.params.clone();
-        t11_params[3].1 = Json::from("theorem11");
-        let t11_key = case_key("scenario_matrix", &t11_params, 3);
-        cache.store(&flood_key, NO_SINGLEHOP_DEPS, &case).unwrap();
-        cache
-            .store(
-                &t11_key,
-                FULL_DEPS,
-                &Case::new(t11_params, case.measurements.clone()),
-            )
-            .unwrap();
-
-        // Plant: a single-crate source change in singlehop.
-        std::fs::write(
-            root.join("crates/singlehop/src/lib.rs"),
-            "// singlehop v2\n",
-        )
-        .unwrap();
-        let cache =
-            CellCache::open_with(&store_dir, SourceDigests::compute_at(&root).unwrap()).unwrap();
-        assert!(
-            matches!(cache.lookup(&flood_key, NO_SINGLEHOP_DEPS), Lookup::Hit(_)),
-            "flood cell does not depend on singlehop — must stay warm"
-        );
-        assert!(
-            matches!(cache.lookup(&t11_key, FULL_DEPS), Lookup::Invalidated),
-            "theorem11 cell depends on singlehop — must invalidate"
-        );
-
-        // Plant: a graphs change invalidates both (every cell builds a
-        // graph).
-        std::fs::write(root.join("crates/graphs/src/lib.rs"), "// graphs v2\n").unwrap();
-        let cache =
-            CellCache::open_with(&store_dir, SourceDigests::compute_at(&root).unwrap()).unwrap();
-        assert!(matches!(
-            cache.lookup(&flood_key, NO_SINGLEHOP_DEPS),
-            Lookup::Invalidated
-        ));
-        assert!(matches!(
-            cache.lookup(&t11_key, FULL_DEPS),
-            Lookup::Invalidated
-        ));
+        let key = case_key("scenario_matrix", &case.params, 3);
+        cache.store(&key, &["code"], &case).unwrap();
+        assert!(matches!(cache.lookup(&key, &["code"]), Lookup::Hit(_)));
+        let path = cache.entry_path(&key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let stored = "\"code\": \"c0de\"";
+        assert!(text.contains(stored), "{text}");
+        std::fs::write(&path, text.replace(stored, "\"code\": \"c0df\"")).unwrap();
+        assert!(matches!(cache.lookup(&key, &["code"]), Lookup::Invalidated));
     }
 
     #[test]
     fn dep_set_change_invalidates() {
-        let root = plant_tree("depset");
-        let cache = temp_cache("depset", &root);
+        let cache = temp_cache("depset");
         let case = sample_case();
         let key = case_key("m", &case.params, 3);
-        cache.store(&key, NO_SINGLEHOP_DEPS, &case).unwrap();
-        assert!(matches!(cache.lookup(&key, FULL_DEPS), Lookup::Invalidated));
+        cache.store(&key, &["code"], &case).unwrap();
+        let wider = ["code", dataset_dep("sample-social.txt")];
+        assert!(matches!(cache.lookup(&key, &wider), Lookup::Invalidated));
     }
 
     #[test]
     fn nonfinite_metrics_are_never_stored() {
-        let root = plant_tree("nonfinite");
-        let cache = temp_cache("nonfinite", &root);
+        let cache = temp_cache("nonfinite");
         let case = Case::new(
             vec![("n", 4usize.into())],
             vec![Measurement {
@@ -725,97 +529,74 @@ mod tests {
             }],
         );
         let key = case_key("m", &case.params, 1);
-        cache.store(&key, FULL_DEPS, &case).unwrap();
-        assert!(matches!(cache.lookup(&key, FULL_DEPS), Lookup::Miss));
+        cache.store(&key, &["code"], &case).unwrap();
+        assert!(matches!(cache.lookup(&key, &["code"]), Lookup::Miss));
     }
 
     #[test]
     fn fingerprint_is_order_independent_and_source_sensitive() {
-        let root = plant_tree("fp");
-        let d = SourceDigests::compute_at(&root).unwrap();
+        let d = planted("fp", "c0de");
+        let social = dataset_dep("sample-social.txt");
         assert_eq!(
-            d.fingerprint(&["radio", "core"]),
-            d.fingerprint(&["core", "radio"])
+            d.fingerprint(&["code", social]),
+            d.fingerprint(&[social, "code"])
         );
-        assert_ne!(d.fingerprint(&["radio"]), d.fingerprint(&["core"]));
-        let combined = d.combined();
-        std::fs::write(root.join("crates/radio/src/lib.rs"), "// radio v2\n").unwrap();
-        let d2 = SourceDigests::compute_at(&root).unwrap();
+        assert_ne!(d.fingerprint(&["code"]), d.fingerprint(&[social]));
+        let rebuilt = planted("fp", "c0df");
         assert_ne!(
-            combined,
-            d2.combined(),
-            "source change must move the fingerprint"
+            d.combined(),
+            rebuilt.combined(),
+            "a new code digest must move the fingerprint"
         );
         assert_eq!(
-            d.digest("core"),
-            d2.digest("core"),
-            "untouched crates keep their digest"
+            d.digest(social),
+            rebuilt.digest(social),
+            "dataset digests do not depend on the code"
         );
-    }
-
-    #[test]
-    fn deps_for_splits_on_algorithm_reach() {
-        let flood = vec![("algorithm", Json::from("naive_flood"))];
-        assert_eq!(deps_for("scenario_matrix", &flood), NO_SINGLEHOP_DEPS);
-        let t11 = vec![("algorithm", Json::from("theorem11"))];
-        assert_eq!(deps_for("scenario_matrix", &t11), FULL_DEPS);
-        // No algorithm param → conservative full set…
-        assert_eq!(deps_for("table1_lower", &[]), FULL_DEPS);
-        // …except fig1_path, which is the path algorithm by construction.
-        assert_eq!(deps_for("fig1_path", &[]), NO_SINGLEHOP_DEPS);
     }
 
     #[test]
     fn deps_for_adds_dataset_files_for_dataset_families() {
-        // Synthetic families carry crate deps only.
+        // Synthetic families depend on the code only.
         let cycle = vec![
             ("algorithm", Json::from("naive_flood")),
             ("family", Json::from("cycle")),
         ];
-        assert_eq!(deps_for("scenario_matrix", &cycle), NO_SINGLEHOP_DEPS);
+        assert_eq!(deps_for(&cycle), ["code"]);
+        assert_eq!(deps_for(&[]), ["code"]);
         // Dataset families append one dataset:<file> pseudo-dep per
-        // backing file, on top of the same crate split.
+        // backing file.
         let ds = vec![
             ("algorithm", Json::from("naive_flood")),
             ("family", Json::from("ds-social")),
         ];
-        let deps = deps_for("scenario_matrix", &ds);
-        assert_eq!(&deps[..NO_SINGLEHOP_DEPS.len()], NO_SINGLEHOP_DEPS);
-        assert_eq!(
-            &deps[NO_SINGLEHOP_DEPS.len()..],
-            ["dataset:sample-social.txt"]
-        );
+        assert_eq!(deps_for(&ds), ["code", "dataset:sample-social.txt"]);
         let ds_t11 = vec![
             ("algorithm", Json::from("theorem11")),
             ("family", Json::from("ds-unit-disk")),
         ];
-        let deps = deps_for("scenario_matrix", &ds_t11);
-        assert_eq!(&deps[..FULL_DEPS.len()], FULL_DEPS);
-        assert_eq!(&deps[FULL_DEPS.len()..], ["dataset:sample-roadnet.co"]);
+        assert_eq!(deps_for(&ds_t11), ["code", "dataset:sample-roadnet.co"]);
     }
 
     #[test]
     fn dataset_edit_invalidates_only_dataset_backed_cells() {
-        // The planted-edit contract, mirroring
-        // source_change_invalidates_only_dependent_cells: two cells, one
-        // built from a synthetic family and one from an on-disk dataset.
-        // Editing the dataset file re-runs only the dataset-backed cell.
-        let root = plant_tree("dataset_edit");
-        let ds_dir = root.join("datasets");
+        // The planted-edit contract: two cells, one built from a
+        // synthetic family and one from an on-disk dataset. Editing the
+        // dataset file re-runs only the dataset-backed cell.
+        let ds_dir = std::env::temp_dir().join("ebc_cache_datasets_dataset_edit");
         std::fs::create_dir_all(&ds_dir).unwrap();
         std::fs::write(ds_dir.join("sample-social.txt"), "0 1\n1 2\n").unwrap();
         let store_dir = std::env::temp_dir().join("ebc_cache_store_dataset_edit");
         std::fs::remove_dir_all(&store_dir).ok();
-        let cache =
-            CellCache::open_with(&store_dir, SourceDigests::compute_at(&root).unwrap()).unwrap();
+        let cache = CellCache::open_with(&store_dir, planted("dataset_edit", "c0de")).unwrap();
         let combined_before = cache.digests().combined();
 
         let cycle_case = sample_case();
-        let cycle_deps = deps_for("scenario_matrix", &cycle_case.params);
+        let cycle_deps = deps_for(&cycle_case.params);
         let cycle_key = case_key("scenario_matrix", &cycle_case.params, 3);
         let mut ds_params = cycle_case.params.clone();
         ds_params[0].1 = Json::from("ds-social");
-        let ds_deps = deps_for("scenario_matrix", &ds_params);
+        let ds_deps = deps_for(&ds_params);
         let ds_key = case_key("scenario_matrix", &ds_params, 3);
         cache.store(&cycle_key, &cycle_deps, &cycle_case).unwrap();
         cache
@@ -829,8 +610,7 @@ mod tests {
 
         // Plant the edit: one more edge in the dataset file.
         std::fs::write(ds_dir.join("sample-social.txt"), "0 1\n1 2\n2 3\n").unwrap();
-        let cache =
-            CellCache::open_with(&store_dir, SourceDigests::compute_at(&root).unwrap()).unwrap();
+        let cache = CellCache::open_with(&store_dir, planted("dataset_edit", "c0de")).unwrap();
         assert!(
             matches!(cache.lookup(&cycle_key, &cycle_deps), Lookup::Hit(_)),
             "synthetic cell does not read the dataset — must stay warm"
@@ -848,11 +628,14 @@ mod tests {
 
     #[test]
     fn real_workspace_digests_compute() {
-        // The production path: the digests of this very workspace.
-        let d = SourceDigests::compute().expect("workspace sources readable");
+        // The production path: this binary's compiled-in code digest plus
+        // the vendored datasets.
+        let d = SourceDigests::compute();
         assert_eq!(d.combined().len(), 16);
-        for krate in DEP_CRATES {
-            assert_eq!(d.digest(krate).len(), 16);
+        assert_eq!(d.digest("code"), env!("EBC_CODE_DIGEST"));
+        assert_eq!(d.digest("code").len(), 16);
+        for file in SAMPLE_FILES {
+            assert_eq!(d.digest(dataset_dep(file)).len(), 16, "{file}");
         }
     }
 }

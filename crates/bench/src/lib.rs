@@ -10,10 +10,11 @@
 //!   cell's wall-clock into build / sim / analysis / cache time
 //!   ([`measure::RunnerProfile`], emitted as `BENCH_profile.json`).
 //! * [`cache`] — the content-addressed cell cache: on-disk results keyed
-//!   on `(cell-config hash, per-crate source digests)`, making
-//!   `--check-against` / `--update-baselines` incremental (warm cells
-//!   skip execution; a graphs-only edit invalidates only graph-sensitive
-//!   cells).
+//!   on `(cell-config hash, code digest)`, making `--check-against` /
+//!   `--update-baselines` incremental (warm cells skip execution). The
+//!   code digest covers everything the binary is built from and is
+//!   compiled in by `build.rs`; dataset-backed cells also key on their
+//!   dataset files' content.
 //! * [`experiments`] — the registry: one [`experiments::ExperimentSpec`]
 //!   per experiment, run via [`experiments::run_experiment`], producing an
 //!   [`experiments::ExperimentResult`].
@@ -36,8 +37,7 @@
 //!   reading baselines back.
 //! * [`report`] — aligned human-readable tables of the same results.
 //!
-//! The CLI (`cargo run -p ebc-bench -- --list`) and the `cargo bench`
-//! targets under `benches/` are thin wrappers over [`run_to_files`].
+//! The CLI (`cargo run -p ebc-bench -- --list`) drives all of these.
 //! Absolute constants are not expected to match the paper's asymptotic
 //! formulas; the *shape* is what each experiment demonstrates.
 
@@ -52,6 +52,7 @@ pub mod json;
 pub mod measure;
 pub mod report;
 pub mod scenario;
+mod source_closure;
 pub mod stats;
 
 pub use experiments::{
@@ -96,9 +97,7 @@ pub fn write_result_files(
 }
 
 /// Prints `result`'s table (with the run's wall-clock) and writes its
-/// JSON documents under `out_dir` (see [`write_result_files`]). The
-/// shared back half of [`run_to_files`] and the CLI, which needs the
-/// [`ExperimentResult`] itself for the baseline gate.
+/// JSON documents under `out_dir` (see [`write_result_files`]).
 pub fn report_and_write(
     result: &ExperimentResult,
     elapsed: std::time::Duration,
@@ -115,25 +114,12 @@ pub fn report_and_write(
     write_result_files(result, out_dir)
 }
 
-/// Runs `spec`, prints its table, and writes its JSON documents under
-/// `out_dir` (see [`write_result_files`]). Returns the main written path.
-pub fn run_to_files(
-    spec: &'static ExperimentSpec,
-    config: &RunConfig,
-    out_dir: &Path,
-) -> std::io::Result<PathBuf> {
-    let started = std::time::Instant::now();
-    let result = run_experiment(spec, config);
-    let paths = report_and_write(&result, started.elapsed(), out_dir)?;
-    Ok(paths.into_iter().next().expect("main path"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn run_to_files_writes_named_json() {
+    fn write_result_files_writes_named_json() {
         let dir = std::env::temp_dir().join("ebc_bench_test_out");
         std::fs::create_dir_all(&dir).unwrap();
         let config = RunConfig {
@@ -141,14 +127,16 @@ mod tests {
             quick: true,
             ..RunConfig::default()
         };
-        let path = run_to_files(find_experiment("table1_det").unwrap(), &config, &dir).unwrap();
+        let result = run_experiment(find_experiment("table1_det").unwrap(), &config);
+        let paths = write_result_files(&result, &dir).unwrap();
+        assert_eq!(paths.len(), 1, "{paths:?}");
         assert_eq!(
-            path.file_name().unwrap().to_str().unwrap(),
+            paths[0].file_name().unwrap().to_str().unwrap(),
             "BENCH_table1_det.json"
         );
-        let body = std::fs::read_to_string(&path).unwrap();
+        let body = std::fs::read_to_string(&paths[0]).unwrap();
         assert!(body.contains("\"experiment\": \"table1_det\""), "{body}");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&paths[0]).ok();
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! per-cell budget so the gated case set never depends on machine speed.
 //!
 //! Every run drains through the on-disk cell cache (`--cache-dir`,
-//! default `.ebc-cache`): a cell whose config and dependency sources are
-//! unchanged loads from disk instead of re-executing, so a warm
+//! default `.ebc-cache`): a cell stored under the same config by a binary
+//! built from the same sources (and, for dataset-backed cells, over the
+//! same dataset files) loads from disk instead of re-executing, so a warm
 //! `--check-against` run re-executes zero cells. `--no-cache` opts out,
 //! `--print-fingerprint` emits the code-version hash CI keys its cache
 //! restore on, and hit/miss/invalidation counts land in
@@ -94,11 +95,13 @@ Options:
                          BENCH_gate_report.json and exits nonzero on drift
   --update-baselines     Rewrite bench-baselines/ (one file per registered
                          experiment) from fresh quick runs, then exit
-  --cache-dir <DIR>      On-disk cell cache: warm cells (same cell config
-                         and unchanged dependency sources) are loaded
-                         instead of re-executed (default .ebc-cache)
+  --cache-dir <DIR>      On-disk cell cache: warm cells (same cell config,
+                         stored by a binary built from the same sources,
+                         over the same dataset files) are loaded instead
+                         of re-executed (default .ebc-cache)
   --no-cache             Disable the cell cache (every cell re-executes)
-  --print-fingerprint    Print the combined code-version fingerprint (the
+  --print-fingerprint    Print the combined fingerprint of this binary's
+                         build-time code digest and the dataset files (the
                          hash CI keys the cache restore on) and exit
   --out-dir <DIR>        Directory for BENCH_<name>.json files (default .)
   --dataset-dir <DIR>    Where the ds-* families load their dataset files
@@ -197,8 +200,8 @@ fn gated_run(spec: &'static ExperimentSpec, config: &RunConfig) -> ebc_bench::Ex
     run_experiment(spec, &config)
 }
 
-/// Writes `BENCH_cache_stats.json`: the combined fingerprint, every
-/// per-crate digest, and hit/miss/invalidation counts per experiment
+/// Writes `BENCH_cache_stats.json`: the combined fingerprint, the code
+/// and dataset digests, and hit/miss/invalidation counts per experiment
 /// plus in total. CI parses this to assert a warm gate re-executes
 /// nothing and uploads it as an artifact.
 fn write_cache_stats(
@@ -215,16 +218,11 @@ fn write_cache_stats(
                 .field("cache", stats.to_json()),
         );
     }
-    let mut doc = Json::obj().field("cache_stats_schema", 1u64);
-    match SourceDigests::compute() {
-        Ok(digests) => {
-            doc = doc
-                .field("fingerprint", digests.combined())
-                .field("crates", digests.to_json());
-        }
-        Err(e) => doc = doc.field("fingerprint_error", e),
-    }
-    let doc = doc
+    let digests = SourceDigests::compute();
+    let doc = Json::obj()
+        .field("cache_stats_schema", 2u64)
+        .field("fingerprint", digests.combined())
+        .field("digests", digests.to_json())
         .field("experiments", Json::Arr(rows))
         .field("total", total.to_json());
     let path = out_dir.join("BENCH_cache_stats.json");
@@ -290,16 +288,8 @@ fn main() -> ExitCode {
     };
 
     if args.print_fingerprint {
-        return match SourceDigests::compute() {
-            Ok(digests) => {
-                println!("{}", digests.combined());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        println!("{}", SourceDigests::compute().combined());
+        return ExitCode::SUCCESS;
     }
 
     if !args.no_cache {

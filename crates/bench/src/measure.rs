@@ -618,7 +618,7 @@ impl CaseRunner {
             return case;
         };
         let key = cache::case_key(self.experiment, &params, seeds);
-        let deps = cache::deps_for(self.experiment, &params);
+        let deps = cache::deps_for(&params);
         let t_cache = Instant::now();
         let looked_up = cache.lookup(&key, &deps);
         let mut cache_spent = t_cache.elapsed();

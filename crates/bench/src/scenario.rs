@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 
 use ebc_core::suite::{BroadcastAlgorithm, ALGORITHMS, MESSAGING_MODELS};
 use ebc_graphs::families::Family;
-use ebc_radio::{FaultModel, FaultPlan, Graph, JammerStrategy, Model, Sim};
+use ebc_radio::{FaultPlan, Graph, JammerStrategy, Model, Sim};
 
 use crate::analysis;
 use crate::experiments::{model_name, ExperimentOutput};

@@ -162,7 +162,7 @@ fn colored_down(
     mut fold: impl FnMut(&mut Vec<Option<u64>>, NodeId, u64),
 ) {
     let n = st.cid.len();
-    let max_layer = st.max_layer_pub();
+    let max_layer = st.max_layer();
     for layer in 0..=max_layer {
         for j in 0..colors.c {
             let mut send_by_color: Vec<Vec<NodeId>> = vec![Vec::new(); colors.num_colors as usize];
@@ -254,7 +254,7 @@ fn colored_up(
 ) {
     let n = st.cid.len();
     let delta = sim.graph().max_degree().max(1);
-    let max_layer = st.max_layer_pub();
+    let max_layer = st.max_layer();
     let sr = Sr::CdTransform {
         delta,
         epochs,
@@ -292,18 +292,6 @@ fn colored_up(
                 }
             }
         }
-    }
-}
-
-/// Extension trait-ish helper: `DetClusterState` exposes `max_layer` only
-/// privately; mirror it here.
-trait MaxLayer {
-    fn max_layer_pub(&self) -> u32;
-}
-
-impl MaxLayer for DetClusterState {
-    fn max_layer_pub(&self) -> u32 {
-        self.labeling.max_label()
     }
 }
 

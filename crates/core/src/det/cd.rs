@@ -73,7 +73,7 @@ impl DetClusterState {
         ch
     }
 
-    fn max_layer(&self) -> u32 {
+    pub(crate) fn max_layer(&self) -> u32 {
         self.labeling.max_label()
     }
 }

@@ -1,14 +1,16 @@
-//! Demonstrates the binary CSR dataset cache at the scale the tentpole
-//! promises: a million-edge edge list parses cold exactly once, then
-//! every later load comes from the `.csrbin` entry tens of times faster.
+//! Demonstrates the binary CSR dataset cache at scale: a million-edge
+//! edge list parses cold exactly once, then every later load comes from
+//! the `.csrbin` entry.
 //!
 //! ```text
 //! cargo run --release -p ebc-graphs --example dataset_ingest
 //! ```
 //!
-//! Exits nonzero if the warm load is not at least 50× faster than the
-//! cold parse or any load disagrees with the others, so CI can run it as
-//! an assertion, not just a demo.
+//! Prints the cold parse and warm load times and their ratio. Panics if
+//! the first load is not a cold parse, the second is not served from the
+//! cache, or the two graphs differ, so CI can run it as a check of the
+//! cache round trip; the ratio is reported, not gated, because it
+//! depends on the host.
 
 use std::time::Instant;
 
@@ -68,8 +70,4 @@ fn main() {
     println!("warm load  : {warm_ms:>9.2} ms  ({ratio:.0}x faster)");
 
     std::fs::remove_dir_all(&dir).ok();
-    if ratio < 50.0 {
-        eprintln!("FAIL: warm load only {ratio:.1}x faster (need >= 50x)");
-        std::process::exit(1);
-    }
 }

@@ -563,7 +563,7 @@ fn fnv1a64_words(bytes: &[u8]) -> u64 {
 }
 
 /// The content digest of one file, as the 16-hex-digit string the bench
-/// layer stores next to its per-crate source digests.
+/// layer stores next to its code digest.
 ///
 /// # Errors
 ///
@@ -577,18 +577,13 @@ pub fn file_digest(path: &Path) -> Result<String, DatasetError> {
 // Directory resolution
 // ---------------------------------------------------------------------------
 
-/// The workspace root: `$EBC_SRC_ROOT` if set, else the workspace this
-/// crate was built from.
-fn workspace_root() -> PathBuf {
-    match std::env::var_os("EBC_SRC_ROOT") {
-        Some(root) => PathBuf::from(root),
-        // crates/graphs → crates → workspace root.
-        None => Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root")
-            .to_path_buf(),
-    }
+/// The workspace root this crate was built from.
+fn workspace_root() -> &'static Path {
+    // crates/graphs → crates → workspace root.
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
 }
 
 /// Where dataset files are looked up: `$EBC_DATASET_DIR` if set (the

@@ -151,15 +151,6 @@ impl EnergyMeter {
         }
     }
 
-    /// Resets all counters (devices and clock history).
-    pub fn reset(&mut self) {
-        self.sends.iter_mut().for_each(|x| *x = 0);
-        self.listens.iter_mut().for_each(|x| *x = 0);
-        self.lost_sends.iter_mut().for_each(|x| *x = 0);
-        self.last_active = None;
-        self.idle_skipped = 0;
-    }
-
     /// Folds `other`'s charges into this meter (device-wise sums, latest
     /// activity wins). Used when a sub-engine runs part of a simulation —
     /// e.g. an event-driven phase inside a slot-driven algorithm — and its
@@ -331,15 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut m = EnergyMeter::new(2);
-        m.charge_send(0, 1);
-        m.reset();
-        assert_eq!(m.total_energy(), 0);
-        assert_eq!(m.last_active(), None);
-    }
-
-    #[test]
     fn empty_meter() {
         let m = EnergyMeter::new(0);
         assert_eq!(m.max_energy(), 0);
@@ -365,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn lost_sends_are_counted_merged_and_reset() {
+    fn lost_sends_are_counted_and_merged() {
         let mut m = EnergyMeter::new(3);
         m.charge_send(0, 1);
         m.note_lost_send(0);
@@ -378,12 +360,10 @@ mod tests {
         other.note_lost_send(2);
         m.merge(&other);
         assert_eq!(m.total_lost_sends(), 2);
-        m.reset();
-        assert_eq!(m.total_lost_sends(), 0);
     }
 
     #[test]
-    fn idle_skips_are_counted_merged_and_reset() {
+    fn idle_skips_are_counted_and_merged() {
         let mut m = EnergyMeter::new(2);
         m.note_skip(100);
         m.note_skip(23);
@@ -395,8 +375,6 @@ mod tests {
         m.merge(&other);
         assert_eq!(m.idle_skipped(), 130);
         assert_eq!(m.report().idle_skipped, 130);
-        m.reset();
-        assert_eq!(m.idle_skipped(), 0);
     }
 
     #[test]

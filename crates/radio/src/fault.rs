@@ -140,51 +140,6 @@ pub enum SlotVerdict {
     Jammed,
 }
 
-/// The choke-point contract between the engine and a fault model.
-///
-/// [`crate::Sim`] calls these hooks from `step_slot`, in order:
-/// [`begin_slot`] once per simulated slot (before polling anyone), then
-/// [`is_down`] per participant, then — only if some participant
-/// listened — [`verdict`] once, then [`edge_alive`] per (listener,
-/// transmitting neighbor) pair when [`filters_edges`] is set. Skipped
-/// slots call nothing, so implementations must derive randomness as a
-/// pure function of the global slot, never from a sequential stream.
-///
-/// [`begin_slot`]: FaultModel::begin_slot
-/// [`is_down`]: FaultModel::is_down
-/// [`verdict`]: FaultModel::verdict
-/// [`edge_alive`]: FaultModel::edge_alive
-/// [`filters_edges`]: FaultModel::filters_edges
-pub trait FaultModel: core::fmt::Debug {
-    /// Applies every crash/churn event scheduled at or before `slot`.
-    /// Called once per simulated slot, before any behavior is polled;
-    /// batch-skipped ranges are caught up by the next simulated slot.
-    fn begin_slot(&mut self, slot: Slot);
-
-    /// Whether device `v` is currently down (crashed or churned out).
-    fn is_down(&self, v: NodeId) -> bool;
-
-    /// Whether any device is currently down (fast-path gate for the
-    /// per-participant masking in the poll loop).
-    fn any_down(&self) -> bool;
-
-    /// The channel verdict for `slot`. Called at most once per simulated
-    /// slot, and only when at least one (up) participant listened —
-    /// unobserved slots never consume jamming budget, keeping budget
-    /// spend invariant across schedule shapes. `any_tx` reports whether
-    /// some up device transmitted (for [`JammerStrategy::Reactive`]).
-    fn verdict(&mut self, slot: Slot, any_tx: bool) -> SlotVerdict;
-
-    /// Whether deliveries must be filtered per (listener, sender) edge.
-    /// When `false` the engine resolves through the row scan with no
-    /// per-edge check.
-    fn filters_edges(&self) -> bool;
-
-    /// Whether the directed delivery `sender → listener` survives
-    /// `slot`. Only consulted when [`FaultModel::filters_edges`].
-    fn edge_alive(&self, slot: Slot, listener: NodeId, sender: NodeId) -> bool;
-}
-
 /// What every listener hears in a jammed slot, per model: the adversary
 /// floods the channel, so under No-CD the collision is indistinguishable
 /// from silence, under CD/CD\*/LOCAL it is noise (garbage is not a
@@ -219,7 +174,7 @@ pub struct FaultState {
     key: u64,
     /// Packed set of currently-down devices.
     down: BitSet,
-    /// `down.count_ones() > 0`, tracked incrementally.
+    /// The number of members of `down`, tracked incrementally.
     down_count: usize,
     /// Crash/churn events sorted by `(slot, node, kind)`; `Down` sorts
     /// before `Up`, so a same-slot leave+join nets to up.
@@ -229,7 +184,7 @@ pub struct FaultState {
     /// Remaining jamming budget (meaningful for `Jammer` plans only).
     jam_budget: u64,
     /// Devices whose `Down` transition fired in the most recent
-    /// [`FaultModel::begin_slot`] — the telemetry layer's crash events.
+    /// [`FaultState::begin_slot`] — the telemetry layer's crash events.
     newly_down: Vec<NodeId>,
 }
 
@@ -303,7 +258,7 @@ impl FaultState {
     }
 
     /// The devices whose crash/leave transition fired in the most
-    /// recent [`FaultModel::begin_slot`] — batch-skipped ranges surface
+    /// recent [`FaultState::begin_slot`] — batch-skipped ranges surface
     /// all their due transitions at the next simulated slot.
     pub fn newly_down(&self) -> &[NodeId] {
         &self.newly_down
@@ -330,8 +285,24 @@ const STREAM_SLOT_LOSS: u64 = 0x51a7_1055;
 const STREAM_JAMMER: u64 = 0x7a33_ed00;
 const STREAM_EDGE: u64 = 0xed6e_d601;
 
-impl FaultModel for FaultState {
-    fn begin_slot(&mut self, slot: Slot) {
+/// The choke-point hooks [`crate::Sim`] calls from `step_slot`, in
+/// order: [`begin_slot`] once per simulated slot (before polling anyone),
+/// then [`is_down`] per participant, then — only if some participant
+/// listened — [`verdict`] once, then [`edge_alive`] per (listener,
+/// transmitting neighbor) pair when [`filters_edges`] is set. Skipped
+/// slots call nothing, so every draw is a pure function of the global
+/// slot, never of a sequential stream.
+///
+/// [`begin_slot`]: FaultState::begin_slot
+/// [`is_down`]: FaultState::is_down
+/// [`verdict`]: FaultState::verdict
+/// [`edge_alive`]: FaultState::edge_alive
+/// [`filters_edges`]: FaultState::filters_edges
+impl FaultState {
+    /// Applies every crash/churn event scheduled at or before `slot`.
+    /// Called once per simulated slot, before any behavior is polled;
+    /// batch-skipped ranges are caught up by the next simulated slot.
+    pub fn begin_slot(&mut self, slot: Slot) {
         if !self.newly_down.is_empty() {
             self.newly_down.clear();
         }
@@ -363,15 +334,23 @@ impl FaultModel for FaultState {
         }
     }
 
-    fn is_down(&self, v: NodeId) -> bool {
+    /// Whether device `v` is currently down (crashed or churned out).
+    pub fn is_down(&self, v: NodeId) -> bool {
         self.down_count > 0 && self.down.contains(v)
     }
 
-    fn any_down(&self) -> bool {
+    /// Whether any device is currently down (fast-path gate for the
+    /// per-participant masking in the poll loop).
+    pub fn any_down(&self) -> bool {
         self.down_count > 0
     }
 
-    fn verdict(&mut self, slot: Slot, any_tx: bool) -> SlotVerdict {
+    /// The channel verdict for `slot`. Called at most once per simulated
+    /// slot, and only when at least one (up) participant listened —
+    /// unobserved slots never consume jamming budget, keeping budget
+    /// spend invariant across schedule shapes. `any_tx` reports whether
+    /// some up device transmitted (for [`JammerStrategy::Reactive`]).
+    pub fn verdict(&mut self, slot: Slot, any_tx: bool) -> SlotVerdict {
         match &self.plan {
             FaultPlan::SlotLoss { p } => {
                 if self.unit(STREAM_SLOT_LOSS, slot, 0, 0) < *p {
@@ -403,11 +382,16 @@ impl FaultModel for FaultState {
         }
     }
 
-    fn filters_edges(&self) -> bool {
+    /// Whether deliveries must be filtered per (listener, sender) edge.
+    /// When `false` the engine resolves through the row scan with no
+    /// per-edge check.
+    pub fn filters_edges(&self) -> bool {
         matches!(self.plan, FaultPlan::EdgeLoss { .. })
     }
 
-    fn edge_alive(&self, slot: Slot, listener: NodeId, sender: NodeId) -> bool {
+    /// Whether the directed delivery `sender → listener` survives
+    /// `slot`. Only consulted when [`FaultState::filters_edges`].
+    pub fn edge_alive(&self, slot: Slot, listener: NodeId, sender: NodeId) -> bool {
         match &self.plan {
             FaultPlan::EdgeLoss { p } => {
                 self.unit(STREAM_EDGE, slot, listener as u64, sender as u64) >= *p

@@ -77,7 +77,7 @@ pub mod telemetry;
 pub use bitset::BitSet;
 pub use energy::{EnergyMeter, EnergyReport};
 pub use engine::{EventEngine, NextWake, Protocol, RunOutcome};
-pub use fault::{FaultModel, FaultPlan, FaultState, JammerStrategy, SlotVerdict};
+pub use fault::{FaultPlan, FaultState, JammerStrategy, SlotVerdict};
 pub use graph::{Graph, GraphError};
 pub use model::{resolve, Action, Feedback, Model};
 pub use sim::{from_fns, Schedule, Sim, SlotBehavior, SparseSchedule};

@@ -117,15 +117,6 @@ impl<M> Feedback<M> {
             _ => None,
         }
     }
-
-    /// Whether the feedback indicates ≥1 transmitting neighbor.
-    ///
-    /// Under No-CD this is only `true` when a message was received; silence
-    /// from a collision is indistinguishable from true silence, faithfully
-    /// to the model.
-    pub fn heard_activity(&self) -> bool {
-        !matches!(self, Feedback::Silence)
-    }
 }
 
 /// Resolves what one listener hears, given its transmitting neighbors.
@@ -312,13 +303,6 @@ mod tests {
         assert_eq!(Feedback::<u8>::Noise.message(), None);
     }
 
-    #[test]
-    fn heard_activity() {
-        assert!(!Feedback::<u8>::Silence.heard_activity());
-        assert!(Feedback::<u8>::Noise.heard_activity());
-        assert!(Feedback::One(1u8).heard_activity());
-        assert!(Feedback::<u8>::Beep.heard_activity());
-    }
     #[test]
     fn model_names_are_distinct() {
         let names: std::collections::HashSet<&str> = Model::ALL.iter().map(|m| m.name()).collect();

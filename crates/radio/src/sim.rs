@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::fault::{jam_feedback, FaultModel, FaultPlan, FaultState, SlotVerdict, FAULT_STREAM};
+use crate::fault::{jam_feedback, FaultPlan, FaultState, SlotVerdict, FAULT_STREAM};
 use crate::model::{resolve_row, Action, Feedback, Model};
 use crate::telemetry::Telemetry;
 use crate::{EnergyMeter, Graph, NodeId, Slot};
@@ -460,12 +460,6 @@ impl Sim {
         if self.telemetry.is_none() {
             self.telemetry = Some(Box::new(Telemetry::new()));
         }
-    }
-
-    /// Attaches a caller-configured recorder (e.g. custom ring
-    /// capacities), replacing any existing one.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(Box::new(telemetry));
     }
 
     /// Whether a telemetry recorder is attached — algorithms gate any

@@ -12,7 +12,7 @@
 //! fails here with the case seed.
 
 use ebc_radio::{
-    resolve, Action, FaultModel, FaultPlan, Feedback, Graph, JammerStrategy, Model, NodeId,
+    resolve, Action, FaultPlan, FaultState, Feedback, Graph, JammerStrategy, Model, NodeId,
     Schedule, Sim, SlotBehavior, SparseSchedule,
 };
 use proptest::prelude::*;
@@ -152,13 +152,13 @@ fn outcome(sim: &Sim, b: Scripted) -> Outcome {
 /// The independent oracle: a naive dense loop over every device and slot,
 /// resolving each listener with the public [`resolve`] over
 /// [`Graph::neighbors`]. With `edges`, a delivery survives only where the
-/// fault model's [`FaultModel::edge_alive`] verdict keeps it.
+/// fault state's [`FaultState::edge_alive`] verdict keeps it.
 fn naive(
     graph: &Graph,
     model: Model,
     script_seed: u64,
     slots: u64,
-    edges: Option<&dyn FaultModel>,
+    edges: Option<&FaultState>,
 ) -> Outcome {
     let n = graph.n();
     let mut b = Scripted::new(script_seed, n, slots);
