@@ -8,22 +8,17 @@
 //! demonstrates — who wins, how costs grow with `n`, `Δ` and `D`, and
 //! where tradeoff knobs move the balance.
 
-use ebc_core::baseline::bgi_decay_broadcast;
-use ebc_core::cdfast::{broadcast_theorem20, Theorem20Config};
 use ebc_core::cluster::{broadcast_theorem16, partition_beta, Theorem16Config};
-use ebc_core::det::{broadcast_det_cd, broadcast_det_local, DetCdConfig, DetLocalConfig};
 use ebc_core::path::{path_broadcast, PathConfig};
-use ebc_core::randomized::{
-    broadcast_corollary13, broadcast_theorem11, broadcast_theorem12, Theorem11Config,
-    Theorem12Config,
-};
+use ebc_core::randomized::{broadcast_theorem11, Theorem11Config};
 use std::sync::Arc;
 
 use ebc_core::reduction::{run_reduction, theorem2_lower_bound, DecayMiddle, UniformCdMiddle};
 use ebc_core::srcomm::Sr;
+use ebc_core::suite;
 use ebc_core::util::NodeRngs;
 use ebc_graphs::deterministic::{cycle, grid, k2k, star};
-use ebc_radio::{Model, Sim};
+use ebc_radio::{Graph, Model, Sim};
 
 use crate::cache::CacheStats;
 use crate::json::Json;
@@ -309,11 +304,35 @@ fn sizes<'a>(config: &RunConfig, full: &'a [usize], quick: &'a [usize]) -> &'a [
     }
 }
 
+/// One broadcast case that runs the registered algorithm `algorithm` (an
+/// [`ebc_core::suite`] name, with its default, instance-scaled
+/// configuration) from vertex 0 of `g`.
+fn registry_case(
+    runner: &mut CaseRunner,
+    params: Vec<(&'static str, Json)>,
+    algorithm: &str,
+    g: &Arc<Graph>,
+    model: Model,
+    seeds: u64,
+) -> Case {
+    let alg = suite::by_name(algorithm)
+        .unwrap_or_else(|| panic!("{algorithm:?} is not a registered algorithm"));
+    runner.run_broadcast_case(params, g, model, seeds, |s| alg.run(s, 0).all_informed())
+}
+
+/// The parameters of a Table 1 row on a cycle.
+fn cycle_row(n: usize, algorithm: &str, model: Model) -> Vec<(&'static str, Json)> {
+    vec![
+        ("graph", "cycle".into()),
+        ("n", n.into()),
+        ("algorithm", algorithm.into()),
+        ("model", model_name(model).into()),
+    ]
+}
+
 /// E1/E5/E7 — Table 1 randomized rows: Theorem 11 under LOCAL / CD /
 /// No-CD and Theorem 12 under CD, swept over `n` on rings.
 fn run_table1_randomized(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let t11 = Theorem11Config::default();
-    let t12 = Theorem12Config::default();
     let mut cases = Vec::new();
     for &n in sizes(config, &[64, 128, 256, 512], &[64, 128]) {
         let g = Arc::new(cycle(n));
@@ -325,21 +344,8 @@ fn run_table1_randomized(config: &RunConfig, runner: &mut CaseRunner) -> Experim
         ];
         for &(algorithm, model, full_seeds) in variants {
             let seeds = config.seeds_for_size(full_seeds, n, 64);
-            cases.push(runner.run_broadcast_case(
-                vec![
-                    ("graph", "cycle".into()),
-                    ("n", n.into()),
-                    ("algorithm", algorithm.into()),
-                    ("model", model_name(model).into()),
-                ],
-                &g,
-                model,
-                seeds,
-                |s| match algorithm {
-                    "theorem11" => broadcast_theorem11(s, 0, &t11).all_informed(),
-                    _ => broadcast_theorem12(s, 0, &t12).all_informed(),
-                },
-            ));
+            let params = cycle_row(n, algorithm, model);
+            cases.push(registry_case(runner, params, algorithm, &g, model, seeds));
         }
     }
     cases.into()
@@ -383,29 +389,19 @@ fn run_table1_dtime(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
 
 /// E3 — Corollary 13: bounded-degree No-CD via LOCAL simulation.
 fn run_table1_bounded(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let t11 = Theorem11Config::default();
     let mut cases = Vec::new();
     for &n in sizes(config, &[64, 128, 256, 512], &[64, 128]) {
         let g = Arc::new(cycle(n));
         let seeds = config.seeds_for_size(2, n, 64);
-        for (algorithm, cor13) in [("corollary13", true), ("theorem11", false)] {
-            cases.push(runner.run_broadcast_case(
-                vec![
-                    ("graph", "cycle".into()),
-                    ("n", n.into()),
-                    ("algorithm", algorithm.into()),
-                    ("model", model_name(Model::NoCd).into()),
-                ],
+        for algorithm in ["corollary13", "theorem11"] {
+            let params = cycle_row(n, algorithm, Model::NoCd);
+            cases.push(registry_case(
+                runner,
+                params,
+                algorithm,
                 &g,
                 Model::NoCd,
                 seeds,
-                |s| {
-                    if cor13 {
-                        broadcast_corollary13(s, 0).all_informed()
-                    } else {
-                        broadcast_theorem11(s, 0, &t11).all_informed()
-                    }
-                },
             ));
         }
     }
@@ -429,7 +425,7 @@ fn run_table1_lower(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
                 ],
                 le_seeds,
                 |seed| {
-                    let (r, _) = match protocol {
+                    let r = match protocol {
                         "decay" => run_reduction(k, model, |_| DecayMiddle::new(k), seed, 100_000),
                         _ => run_reduction(k, model, |_| UniformCdMiddle::new(k), seed, 100_000),
                     };
@@ -443,7 +439,8 @@ fn run_table1_lower(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
         // Broadcast energy on the gadget itself (Theorem 11, CD): always
         // far above the reduction-derived bound.
         let g = Arc::new(k2k(k));
-        cases.push(runner.run_broadcast_case(
+        cases.push(registry_case(
+            runner,
             vec![
                 ("gadget", "k2k".into()),
                 ("k", k.into()),
@@ -454,10 +451,10 @@ fn run_table1_lower(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
                     theorem2_lower_bound(Model::Cd, k, 0.01).into(),
                 ),
             ],
+            "theorem11",
             &g,
             Model::Cd,
             config.seeds_for_size(2, k, 8),
-            |s| broadcast_theorem11(s, 0, &Theorem11Config::default()).all_informed(),
         ));
     }
     cases.into()
@@ -465,30 +462,19 @@ fn run_table1_lower(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
 
 /// E6 — Theorem 20: lower CD energy bought with much more time.
 fn run_table1_cdfast(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let t20 = Theorem20Config::default();
-    let t11 = Theorem11Config::default();
     let mut cases = Vec::new();
     for &n in sizes(config, &[32, 64, 128], &[32, 64]) {
         let g = Arc::new(cycle(n));
         let seeds = config.seeds_for_size(2, n, 32);
-        for (algorithm, is20) in [("theorem20", true), ("theorem11", false)] {
-            cases.push(runner.run_broadcast_case(
-                vec![
-                    ("graph", "cycle".into()),
-                    ("n", n.into()),
-                    ("algorithm", algorithm.into()),
-                    ("model", model_name(Model::Cd).into()),
-                ],
+        for algorithm in ["theorem20", "theorem11"] {
+            let params = cycle_row(n, algorithm, Model::Cd);
+            cases.push(registry_case(
+                runner,
+                params,
+                algorithm,
                 &g,
                 Model::Cd,
                 seeds,
-                |s| {
-                    if is20 {
-                        broadcast_theorem20(s, 0, &t20).all_informed()
-                    } else {
-                        broadcast_theorem11(s, 0, &t11).all_informed()
-                    }
-                },
             ));
         }
     }
@@ -501,25 +487,12 @@ fn run_table1_det(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutp
     let mut cases = Vec::new();
     for &n in sizes(config, &[16, 32, 64], &[16, 32]) {
         let g = Arc::new(cycle(n));
-        for (algorithm, model) in [("theorem25", Model::Local), ("theorem27", Model::Cd)] {
-            cases.push(runner.run_broadcast_case(
-                vec![
-                    ("graph", "cycle".into()),
-                    ("n", n.into()),
-                    ("algorithm", algorithm.into()),
-                    ("model", model_name(model).into()),
-                ],
-                &g,
-                model,
-                1,
-                |s| {
-                    if model == Model::Local {
-                        broadcast_det_local(s, 0, &DetLocalConfig::default()).all_informed()
-                    } else {
-                        broadcast_det_cd(s, 0, &DetCdConfig::default()).all_informed()
-                    }
-                },
-            ));
+        for (label, algorithm, model) in [
+            ("theorem25", "det_local_theorem25", Model::Local),
+            ("theorem27", "det_cd_theorem27", Model::Cd),
+        ] {
+            let params = cycle_row(n, label, model);
+            cases.push(registry_case(runner, params, algorithm, &g, model, 1));
         }
     }
     cases.into()
@@ -641,29 +614,19 @@ fn run_ablation(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput
 /// E13 — the baseline gap: BGI decay's `Θ(D)` energy vs Theorem 11's
 /// polylog, on growing rings.
 fn run_baseline_gap(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let t11 = Theorem11Config::default();
     let mut cases = Vec::new();
     for &n in sizes(config, &[128, 256, 512, 1024], &[128, 256]) {
         let g = Arc::new(cycle(n));
         let seeds = config.seeds_for_size(2, n, 128);
-        for (algorithm, is11) in [("theorem11", true), ("bgi_decay", false)] {
-            cases.push(runner.run_broadcast_case(
-                vec![
-                    ("graph", "cycle".into()),
-                    ("n", n.into()),
-                    ("algorithm", algorithm.into()),
-                    ("model", model_name(Model::NoCd).into()),
-                ],
+        for algorithm in ["theorem11", "bgi_decay"] {
+            let params = cycle_row(n, algorithm, Model::NoCd);
+            cases.push(registry_case(
+                runner,
+                params,
+                algorithm,
                 &g,
                 Model::NoCd,
                 seeds,
-                |s| {
-                    if is11 {
-                        broadcast_theorem11(s, 0, &t11).all_informed()
-                    } else {
-                        bgi_decay_broadcast(s, 0, None).all_informed()
-                    }
-                },
             ));
         }
     }

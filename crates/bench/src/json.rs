@@ -56,6 +56,7 @@ impl Json {
     /// [`to_string_pretty`]: Json::to_string_pretty
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -171,7 +172,12 @@ impl Json {
 }
 
 /// Recursive-descent parser over the serializer's dialect.
+///
+/// Every structural token is ASCII, so `pos` only ever stops on a
+/// character boundary of `text`; `bytes` is the same input for byte-wise
+/// scanning.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -305,9 +311,8 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape {hex:?}"))?;
@@ -321,12 +326,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary and is valid UTF-8 as a slice of `text`.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -348,7 +356,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         if !float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -519,6 +527,23 @@ mod tests {
         assert_eq!(parsed.get("x"), Some(&Json::Num(1000.0)));
         assert_eq!(parsed.get("y"), Some(&Json::Num(0.025)));
         assert_eq!(parsed.get("s").unwrap().as_str(), Some("aAü"));
+    }
+
+    #[test]
+    fn parse_round_trips_escapes_next_to_multibyte_characters() {
+        // Escapes right before and after multi-byte characters, and
+        // multi-byte characters closing a run (a key ending in `ß`, a
+        // value ending in `✓`), so the parser's runs start and end on
+        // every kind of boundary.
+        let doc = Json::obj()
+            .field("é\"ü\\\n✓", "é\"ü\\\n✓")
+            .field("straß", "\u{1}ü\t")
+            .field("ß", vec!["\"ü", "✓\\", "", "aß"]);
+        let text = doc.to_string_pretty();
+        assert!(text.contains(r#""é\"ü\\\n✓": "é\"ü\\\n✓""#), "{text}");
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed, doc);
+        assert_eq!(parsed.to_string_pretty(), text);
     }
 
     #[test]

@@ -67,10 +67,8 @@ impl RunConfig {
         full.clamp(1, 2)
     }
 
-    /// The seed count to use when a case defaults to `full` seeds (quick
-    /// mode halves it, to the [two-seed floor]).
-    ///
-    /// [two-seed floor]: RunConfig::quick_seed_floor
+    /// The seed count to use when a case defaults to `full` seeds. Quick
+    /// mode halves it, but never below two seeds (or `full`, if smaller).
     pub fn seeds_for(&self, full: u64) -> u64 {
         let base = self.seeds.unwrap_or(full);
         if self.quick && self.seeds.is_none() {
@@ -84,14 +82,12 @@ impl RunConfig {
     /// size is `n_base` and whose full-mode default is `full` seeds.
     ///
     /// In quick mode (with no explicit `--seeds` override) the count
-    /// halves for every doubling of `n` past `n_base`, down to the
-    /// [two-seed floor] — without the halving the largest sizes dominate a
-    /// quick sweep's wall-clock (per-run cost itself grows with `n`);
-    /// without the floor the bootstrap CIs collapse. Monotone
-    /// non-increasing in `n`. Full mode and pinned seed counts are
-    /// unaffected.
-    ///
-    /// [two-seed floor]: RunConfig::quick_seed_floor
+    /// halves for every doubling of `n` past `n_base`, down to the same
+    /// two-seed floor as [`RunConfig::seeds_for`] — without the halving
+    /// the largest sizes dominate a quick sweep's wall-clock (per-run cost
+    /// itself grows with `n`); without the floor the bootstrap CIs
+    /// collapse. Monotone non-increasing in `n`. Full mode and pinned seed
+    /// counts are unaffected.
     pub fn seeds_for_size(&self, full: u64, n: usize, n_base: usize) -> u64 {
         let mut seeds = self.seeds_for(full);
         if !self.quick || self.seeds.is_some() {
@@ -370,7 +366,7 @@ where
     })
 }
 
-/// The standard broadcast metric set from one run's [`EnergyReport`].
+/// The standard broadcast metric set from one run's [`ebc_radio::EnergyReport`].
 pub fn standard_metrics(r: &ebc_radio::EnergyReport) -> Vec<(&'static str, f64)> {
     vec![
         ("time", r.time as f64),

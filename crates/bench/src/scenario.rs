@@ -27,7 +27,7 @@
 //! the axes.
 //!
 //! Three *headline* cells — flooding and the Theorem 11/12 algorithms on
-//! the binary tree ([`is_headline`]) — extend their n axis past the shared
+//! the binary tree (`is_headline`) — extend their n axis past the shared
 //! sizes to `n = 10^6` under a dedicated budget
 //! ([`RunConfig::headline_cell_budget`]), so the scaling fits for the
 //! paper's flagship bounds rest on three decades of n.

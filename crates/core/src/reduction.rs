@@ -13,13 +13,14 @@
 //! We make the reduction executable for the natural class of broadcast
 //! protocols in which a middle's behavior depends on its private
 //! randomness, the slot number, and what it has heard ([`MiddleBehavior`]).
-//! [`run_reduction`] runs such a protocol *as* a leader election on a
-//! single-hop network and reports the elected middle and slot count —
-//! which equals (up to the factor-2 slot skipping) the middles' energy in
-//! the original broadcast.
+//! [`run_reduction`] runs such a protocol *as* a leader election among the
+//! middles and reports the elected middle and slot count — which equals
+//! (up to the factor-2 slot skipping) the middles' energy in the original
+//! broadcast. It needs no channel simulator: in a single-hop network every
+//! middle hears the same thing, and that depends only on how many middles
+//! transmitted, so the election counts transmitters in each slot.
 
-use ebc_radio::{Action, Feedback, Model, NodeId};
-use ebc_singlehop::Clique;
+use ebc_radio::{Model, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -142,102 +143,69 @@ pub struct ReductionResult {
 /// Runs a `K_{2,k}` broadcast protocol as a single-hop leader election
 /// among `k` middles (the Theorem 2 simulation).
 ///
-/// Every middle runs full duplex (allowed in the lower-bound model): it
-/// transmits per its strategy while observing the channel, which is
-/// exactly the virtual `t`'s view. The election terminates the first time
-/// `t` would have received the payload — a slot with exactly one
-/// transmitter.
+/// Every acting middle runs full duplex (allowed in the lower-bound
+/// model): it transmits per its strategy while observing the channel,
+/// which is exactly the virtual `t`'s view. That view depends only on how
+/// many middles transmitted: none reads as silence, one as the payload,
+/// and two or more as a collision, which `t` hears as noise under CD but
+/// as silence under No-CD. Idle middles observe nothing. The election
+/// terminates the first time `t` would have received the payload — a slot
+/// with exactly one transmitter.
 pub fn run_reduction<B, F>(
     k: usize,
     model: Model,
-    mut make_behavior: F,
+    make_behavior: F,
     seed: u64,
     max_slots: u64,
-) -> (ReductionResult, Clique)
+) -> ReductionResult
 where
     B: MiddleBehavior,
     F: FnMut(usize) -> B,
 {
     assert!(k >= 1);
-    assert!(
-        matches!(model, Model::NoCd | Model::Cd),
-        "the reduction targets the CD / No-CD gadget models"
-    );
-    let mut clique = Clique::new(k, Model::Cd);
-    let mut behaviors: Vec<B> = (0..k).map(&mut make_behavior).collect();
+    let collision = match model {
+        Model::NoCd => None,
+        Model::Cd => Some(false),
+        _ => panic!("the reduction targets the CD / No-CD gadget models"),
+    };
+    let mut behaviors: Vec<B> = (0..k).map(make_behavior).collect();
     let mut rngs: Vec<SmallRng> = (0..k)
         .map(|v| ebc_radio::rng::node_rng(seed, v, 0x7ed))
         .collect();
+    let mut acting: Vec<NodeId> = Vec::with_capacity(k);
     for slot in 0..max_slots {
-        let mut actions: Vec<(NodeId, Action<u64>)> = Vec::with_capacity(k);
-        let mut senders: Vec<NodeId> = Vec::new();
-        for v in 0..k {
-            match behaviors[v].act(&mut rngs[v], slot) {
+        acting.clear();
+        let (mut sent, mut sender) = (0usize, 0);
+        for (v, (behavior, rng)) in behaviors.iter_mut().zip(&mut rngs).enumerate() {
+            match behavior.act(rng, slot) {
                 MiddleAction::Forward => {
-                    senders.push(v);
-                    actions.push((v, Action::SendListen(v as u64)));
+                    sent += 1;
+                    sender = v;
+                    acting.push(v);
                 }
-                MiddleAction::Listen => actions.push((v, Action::Listen)),
+                MiddleAction::Listen => acting.push(v),
                 MiddleAction::Idle => {}
             }
         }
-        let fbs = clique.slot(&actions);
-        // The virtual t hears the true channel state (it is adjacent to all
-        // middles); under No-CD it cannot distinguish collision from
-        // silence, faithfully to the gadget model.
-        let _t_view: Option<bool> = match senders.len() {
+        let unique = match sent {
             0 => None,
             1 => Some(true),
-            _ => match model {
-                Model::NoCd => None,
-                _ => Some(false),
-            },
+            _ => collision,
         };
-        for (v, fb) in fbs {
-            // What v can infer about the virtual t's reception. A collision
-            // at t reads as noise in CD but as silence in No-CD.
-            let collision = match model {
-                Model::NoCd => None,
-                _ => Some(false),
-            };
-            let v_sent = senders.binary_search(&v).is_ok();
-            let unique = match fb {
-                Feedback::Silence => {
-                    // A unique full-duplex transmitter hears silence: its
-                    // own send was the one t received.
-                    if senders.len() == 1 && senders[0] == v {
-                        Some(true)
-                    } else {
-                        None
-                    }
-                }
-                Feedback::One(_) if v_sent => {
-                    // v's own transmission plus exactly one other: t heard
-                    // a collision, not the payload.
-                    collision
-                }
-                Feedback::One(_) => Some(true),
-                Feedback::Noise | Feedback::Beep | Feedback::Many(_) => collision,
-            };
+        for &v in &acting {
             behaviors[v].observe(unique);
         }
-        if senders.len() == 1 {
-            return (
-                ReductionResult {
-                    leader: Some(senders[0]),
-                    slots: slot + 1,
-                },
-                clique,
-            );
+        if sent == 1 {
+            return ReductionResult {
+                leader: Some(sender),
+                slots: slot + 1,
+            };
         }
     }
-    (
-        ReductionResult {
-            leader: None,
-            slots: max_slots,
-        },
-        clique,
-    )
+    ReductionResult {
+        leader: None,
+        slots: max_slots,
+    }
 }
 
 /// The analytic Theorem 2 energy lower bounds for `K_{2,k}` with failure
@@ -254,12 +222,14 @@ pub fn theorem2_lower_bound(model: Model, k: usize, f: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
 
     #[test]
     fn decay_reduction_elects_leader() {
         for seed in 0..10u64 {
-            let (res, _) = run_reduction(16, Model::NoCd, |_| DecayMiddle::new(16), seed, 4000);
+            let res = run_reduction(16, Model::NoCd, |_| DecayMiddle::new(16), seed, 4000);
             assert!(res.leader.is_some(), "seed {seed}");
             assert!(res.leader.unwrap() < 16);
         }
@@ -270,7 +240,7 @@ mod tests {
         let mut total = 0u64;
         let runs = 20;
         for seed in 0..runs {
-            let (res, _) = run_reduction(256, Model::Cd, |_| UniformCdMiddle::new(256), seed, 2000);
+            let res = run_reduction(256, Model::Cd, |_| UniformCdMiddle::new(256), seed, 2000);
             assert!(res.leader.is_some(), "seed {seed}");
             total += res.slots;
         }
@@ -286,9 +256,8 @@ mod tests {
         let mut no_cd = 0u64;
         let mut cd = 0u64;
         for seed in 0..runs {
-            let (r1, _) = run_reduction(256, Model::NoCd, |_| DecayMiddle::new(256), seed, 20_000);
-            let (r2, _) =
-                run_reduction(256, Model::Cd, |_| UniformCdMiddle::new(256), seed, 20_000);
+            let r1 = run_reduction(256, Model::NoCd, |_| DecayMiddle::new(256), seed, 20_000);
+            let r2 = run_reduction(256, Model::Cd, |_| UniformCdMiddle::new(256), seed, 20_000);
             no_cd += r1.slots;
             cd += r2.slots;
         }
@@ -300,8 +269,111 @@ mod tests {
 
     #[test]
     fn single_middle_elected_immediately_in_cd() {
-        let (res, _) = run_reduction(1, Model::Cd, |_| UniformCdMiddle::new(1), 0, 200);
+        let res = run_reduction(1, Model::Cd, |_| UniformCdMiddle::new(1), 0, 200);
         assert_eq!(res.leader, Some(0));
+    }
+
+    #[test]
+    fn le_elects_unique_leader_across_sizes() {
+        for &k in &[1usize, 2, 3, 8, 64, 500] {
+            let mut ok = 0;
+            for seed in 0..20u64 {
+                let res = run_reduction(k, Model::Cd, |_| UniformCdMiddle::new(k), seed, 500);
+                if let Some(l) = res.leader {
+                    assert!(l < k);
+                    ok += 1;
+                }
+            }
+            assert!(ok >= 19, "k = {k}: only {ok}/20 elected");
+        }
+    }
+
+    #[test]
+    fn le_single_participant_self_detects() {
+        // One middle under a schedule sized for five: its first lone
+        // transmission is the unique one, and it ends the election.
+        let res = run_reduction(1, Model::Cd, |_| UniformCdMiddle::new(5), 7, 200);
+        assert_eq!(res.leader, Some(0));
+    }
+
+    #[test]
+    fn le_slot_count_is_loglog_scale() {
+        // For k = 2^14 middles the election should complete in far fewer
+        // than log² k slots — loglog k + constant race steps.
+        let k = 1 << 14;
+        let mut total = 0u64;
+        let runs = 10;
+        for seed in 0..runs {
+            let res = run_reduction(k, Model::Cd, |_| UniformCdMiddle::new(k), seed, 2_000);
+            assert!(res.leader.is_some());
+            total += res.slots;
+        }
+        let avg = total as f64 / runs as f64;
+        assert!(avg < 60.0, "avg slots = {avg}");
+    }
+
+    /// Replays a fixed per-slot action script and logs every observation
+    /// as `(slot, middle, observation)`.
+    struct Scripted<'a> {
+        middle: usize,
+        slot: u64,
+        script: &'a [[MiddleAction; 3]],
+        log: &'a RefCell<Vec<(u64, usize, Option<bool>)>>,
+    }
+
+    impl MiddleBehavior for Scripted<'_> {
+        fn act(&mut self, _rng: &mut SmallRng, slot: u64) -> MiddleAction {
+            self.slot = slot;
+            self.script[slot as usize][self.middle]
+        }
+        fn observe(&mut self, unique: Option<bool>) {
+            self.log.borrow_mut().push((self.slot, self.middle, unique));
+        }
+    }
+
+    #[test]
+    fn acting_middles_observe_what_the_transmitter_count_implies() {
+        use MiddleAction::{Forward as F, Idle as I, Listen as L};
+        // Zero, two, three, then one transmitter.
+        let script = [[L, L, I], [F, L, F], [F, F, F], [I, F, L]];
+        for (model, c) in [(Model::NoCd, None), (Model::Cd, Some(false))] {
+            let log = RefCell::new(Vec::new());
+            let res = run_reduction(
+                3,
+                model,
+                |middle| Scripted {
+                    middle,
+                    slot: 0,
+                    script: &script,
+                    log: &log,
+                },
+                0,
+                10,
+            );
+            assert_eq!(
+                res,
+                ReductionResult {
+                    leader: Some(1),
+                    slots: 4
+                }
+            );
+            assert_eq!(
+                log.into_inner(),
+                [
+                    (0, 0, None),
+                    (0, 1, None),
+                    (1, 0, c),
+                    (1, 1, c),
+                    (1, 2, c),
+                    (2, 0, c),
+                    (2, 1, c),
+                    (2, 2, c),
+                    (3, 1, Some(true)),
+                    (3, 2, Some(true)),
+                ],
+                "{model:?}"
+            );
+        }
     }
 
     #[test]
@@ -324,7 +396,7 @@ mod tests {
             let runs = 10;
             let mut tot = 0;
             for seed in 0..runs {
-                let (r, _) = run_reduction(k, Model::NoCd, |_| DecayMiddle::new(k), seed, 40_000);
+                let r = run_reduction(k, Model::NoCd, |_| DecayMiddle::new(k), seed, 40_000);
                 tot += r.slots;
             }
             tot as f64 / runs as f64

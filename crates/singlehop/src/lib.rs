@@ -1,30 +1,19 @@
-//! Single-hop (clique) radio network primitives.
+//! The single-hop leader-election schedule the multi-hop machinery drives.
 //!
-//! The paper's multi-hop energy bounds are powered by single-hop machinery:
+//! [`UniformLeaderElection`] is a *uniform* leader-election schedule in the
+//! CD model à la Nakano–Olariu: every participant transmits with the same
+//! probability `2^{-k_t}` where `k_t` is a function of the public channel
+//! history ([`Obs`]) only. It succeeds in `O(log log n′ + log 1/f)` slots.
 //!
-//! * [`Clique`] — a fast single-hop channel (every device hears every other)
-//!   with full-duplex support and exact energy metering. Equivalent to
-//!   running [`ebc_radio::Sim`] on a complete graph, but `O(#active)` per
-//!   slot instead of `O(Σ deg)`.
-//! * [`UniformLeaderElection`] — a *uniform* leader-election schedule in the
-//!   CD model à la Nakano–Olariu: every participant transmits with the
-//!   same probability `2^{-k_t}` where `k_t` is a function of the public
-//!   channel history only. Succeeds in `O(log log n′ + log 1/f)` slots.
-//!   Lemma 8's generic transformation consumes exactly this object.
-//! * [`approximate_count`] — the probe/binary-search phases alone, returning
-//!   a constant-factor estimate of the number of participants.
-//! * [`det`] — deterministic leader election by ID-interval binary search
-//!   (`O(log N)` slots and energy), used by the deterministic lower bound
-//!   discussion (§2) and as a unit-testable substrate.
+//! The crate holds the schedule, not a channel. Its two consumers supply the
+//! observations: Lemma 8's CD transform (`ebc_core::srcomm`) feeds it what a
+//! receiver heard in the multi-hop simulator, and the Theorem 2 reduction
+//! (`ebc_core::reduction`) feeds it the number of middles that transmitted
+//! in each slot.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clique;
-pub mod det;
 mod uniform;
 
-pub use clique::Clique;
-pub use uniform::{approximate_count, run_uniform_le, LeResult, Obs, UniformLeaderElection};
-
-pub use ebc_radio::{Action, EnergyMeter, Feedback, Model, NodeId, Slot};
+pub use uniform::{Obs, UniformLeaderElection};

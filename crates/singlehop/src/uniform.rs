@@ -20,11 +20,6 @@
 //! becomes "one epoch" and the feedback is what the receiver heard in the
 //! single slot of the epoch it listened to.
 
-use ebc_radio::{Action, Feedback, Model, NodeId};
-use rand::Rng;
-
-use crate::Clique;
-
 /// The three channel observations that drive a uniform schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Obs {
@@ -34,23 +29,6 @@ pub enum Obs {
     Unique,
     /// A collision was detected (CD only).
     Noise,
-}
-
-impl Obs {
-    /// Collapses a [`Feedback`] into an observation.
-    ///
-    /// Under No-CD a collision is indistinguishable from silence, so
-    /// [`Feedback::Silence`] maps to [`Obs::Silence`] in both models —
-    /// faithfully to what the device can actually know.
-    pub fn from_feedback<M>(fb: &Feedback<M>) -> Obs {
-        match fb {
-            Feedback::Silence => Obs::Silence,
-            Feedback::Noise | Feedback::Beep => Obs::Noise,
-            Feedback::One(_) => Obs::Unique,
-            Feedback::Many(v) if v.len() == 1 => Obs::Unique,
-            Feedback::Many(_) => Obs::Noise,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +49,6 @@ pub struct UniformLeaderElection {
     phase: Phase,
     k: u32,
     k_max: u32,
-    steps: u32,
     done: bool,
 }
 
@@ -88,7 +65,6 @@ impl UniformLeaderElection {
             phase: Phase::Probe,
             k: 1,
             k_max,
-            steps: 0,
             done: false,
         }
     }
@@ -96,11 +72,6 @@ impl UniformLeaderElection {
     /// The current exponent: participants transmit with probability `2^{-k}`.
     pub fn k(&self) -> u32 {
         self.k
-    }
-
-    /// The number of observations consumed so far.
-    pub fn steps(&self) -> u32 {
-        self.steps
     }
 
     /// Whether a unique transmission has been observed.
@@ -111,7 +82,6 @@ impl UniformLeaderElection {
     /// Feeds the channel observation for the current step and advances the
     /// schedule.
     pub fn observe(&mut self, obs: Obs) {
-        self.steps += 1;
         if self.done {
             return;
         }
@@ -168,175 +138,9 @@ impl UniformLeaderElection {
     }
 }
 
-/// The result of a single-hop leader election run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeResult {
-    /// The elected device, if the run succeeded within the slot budget.
-    pub leader: Option<NodeId>,
-    /// Slots consumed.
-    pub slots: u64,
-}
-
-/// Runs uniform leader election among `participants` on a full-duplex CD
-/// clique: every participant transmits its id with probability `2^{-k_t}`
-/// while listening, so a unique transmitter self-detects via silence and
-/// everyone else receives its id.
-///
-/// Returns after a leader is elected or `max_slots` have elapsed.
-///
-/// # Panics
-///
-/// Panics if `participants` is empty.
-pub fn run_uniform_le(
-    clique: &mut Clique,
-    participants: &[NodeId],
-    rng: &mut impl Rng,
-    max_slots: u64,
-) -> LeResult {
-    assert!(!participants.is_empty());
-    assert_eq!(
-        clique.model(),
-        Model::Cd,
-        "uniform LE requires the CD model"
-    );
-    let mut sched = UniformLeaderElection::new(clique.n());
-    let mut actions: Vec<(NodeId, Action<u64>)> = Vec::with_capacity(participants.len());
-    for slot in 0..max_slots {
-        let p = 0.5_f64.powi(sched.k() as i32);
-        actions.clear();
-        for &v in participants {
-            if rng.gen_bool(p) {
-                actions.push((v, Action::SendListen(v as u64)));
-            } else {
-                actions.push((v, Action::Listen));
-            }
-        }
-        let sent: Vec<NodeId> = actions
-            .iter()
-            .filter(|(_, a)| matches!(a, Action::SendListen(_)))
-            .map(|(v, _)| *v)
-            .collect();
-        let fbs = clique.slot(&actions);
-        // All participants share the channel view; derive the public
-        // observation from any non-transmitting listener, or from the
-        // self-detection rule when everyone transmitted.
-        let obs = public_observation(&fbs, &sent);
-        sched.observe(obs);
-        if obs == Obs::Unique {
-            return LeResult {
-                leader: Some(sent[0]),
-                slots: slot + 1,
-            };
-        }
-        if sent.len() == 1 {
-            // The unique sender heard silence and self-detected; everyone
-            // else heard its message. Covered by Obs::Unique above via
-            // listeners; this branch is only reachable if all participants
-            // transmitted — impossible with len == 1 unless there is a
-            // single participant, which self-detects:
-            return LeResult {
-                leader: Some(sent[0]),
-                slots: slot + 1,
-            };
-        }
-    }
-    LeResult {
-        leader: None,
-        slots: max_slots,
-    }
-}
-
-/// Derives the slot's public observation from the listeners' feedback.
-fn public_observation(fbs: &[(NodeId, Feedback<u64>)], sent: &[NodeId]) -> Obs {
-    // A non-transmitting listener sees the true channel state.
-    for (v, fb) in fbs {
-        if !sent.contains(v) {
-            return Obs::from_feedback(fb);
-        }
-    }
-    // Everyone transmitted: each hears the others. With exactly one sender
-    // overall, it hears silence (Unique via self-detection); with two, each
-    // hears the other as One — publicly that is still a collision.
-    match sent.len() {
-        0 => Obs::Silence,
-        1 => Obs::Unique,
-        _ => Obs::Noise,
-    }
-}
-
-/// Estimates the number of participants within a constant factor using the
-/// probe + binary-search phases only (the paper's ApproximateCounting).
-///
-/// Each participant transmits with probability `2^{-k_t}` full-duplex.
-/// Returns `(estimate, slots)`. The estimate is `2^{k*}` where `k*` is the
-/// exponent at which the channel transitions from noisy to quiet; with
-/// high probability this is `Θ(#participants)`.
-///
-/// # Panics
-///
-/// Panics if `participants` is empty.
-pub fn approximate_count(
-    clique: &mut Clique,
-    participants: &[NodeId],
-    rng: &mut impl Rng,
-    trials_per_step: u32,
-) -> (u64, u64) {
-    assert!(!participants.is_empty());
-    let mut sched = UniformLeaderElection::new(clique.n());
-    let mut slots = 0u64;
-    let mut actions: Vec<(NodeId, Action<u64>)> = Vec::new();
-    loop {
-        if matches!(sched.phase, Phase::Race) || sched.succeeded() {
-            return (1u64 << sched.k().min(62), slots);
-        }
-        // Majority vote over repeated trials de-noises each probe step.
-        let mut noisy = 0u32;
-        for _ in 0..trials_per_step {
-            let p = 0.5_f64.powi(sched.k() as i32);
-            actions.clear();
-            for &v in participants {
-                if rng.gen_bool(p) {
-                    actions.push((v, Action::SendListen(v as u64)));
-                } else {
-                    actions.push((v, Action::Listen));
-                }
-            }
-            let sent: Vec<NodeId> = actions
-                .iter()
-                .filter(|(_, a)| matches!(a, Action::SendListen(_)))
-                .map(|(v, _)| *v)
-                .collect();
-            let fbs = clique.slot(&actions);
-            slots += 1;
-            if public_observation(&fbs, &sent) == Obs::Noise {
-                noisy += 1;
-            }
-        }
-        let obs = if noisy * 2 > trials_per_step {
-            Obs::Noise
-        } else {
-            Obs::Silence
-        };
-        sched.observe(obs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebc_radio::rng::node_rng;
-
-    #[test]
-    fn obs_from_feedback_mapping() {
-        assert_eq!(Obs::from_feedback(&Feedback::<u8>::Silence), Obs::Silence);
-        assert_eq!(Obs::from_feedback(&Feedback::<u8>::Noise), Obs::Noise);
-        assert_eq!(Obs::from_feedback(&Feedback::One(3u8)), Obs::Unique);
-        assert_eq!(Obs::from_feedback(&Feedback::Many(vec![1u8])), Obs::Unique);
-        assert_eq!(
-            Obs::from_feedback(&Feedback::Many(vec![1u8, 2])),
-            Obs::Noise
-        );
-    }
 
     #[test]
     fn schedule_probe_doubles_k_on_noise() {
@@ -387,106 +191,5 @@ mod tests {
             s.observe(Obs::Noise);
         }
         assert!(s.k() <= s.k_max);
-    }
-
-    #[test]
-    fn le_elects_unique_leader_across_sizes() {
-        for &n in &[2usize, 3, 8, 64, 500] {
-            let mut ok = 0;
-            for seed in 0..20u64 {
-                let mut clique = Clique::new(n, Model::Cd);
-                let parts: Vec<NodeId> = (0..n).collect();
-                let mut rng = node_rng(seed, 0, 99);
-                let res = run_uniform_le(&mut clique, &parts, &mut rng, 500);
-                if let Some(l) = res.leader {
-                    assert!(l < n);
-                    ok += 1;
-                }
-            }
-            assert!(ok >= 19, "n = {n}: only {ok}/20 elected");
-        }
-    }
-
-    #[test]
-    fn le_single_participant_self_detects() {
-        let mut clique = Clique::new(5, Model::Cd);
-        let mut rng = node_rng(7, 0, 99);
-        let res = run_uniform_le(&mut clique, &[3], &mut rng, 200);
-        assert_eq!(res.leader, Some(3));
-    }
-
-    #[test]
-    fn le_slot_count_is_loglog_scale() {
-        // For n = 2^14 participants the election should complete in far
-        // fewer than log² n slots — loglog n + constant race steps.
-        let n = 1 << 14;
-        let mut total = 0u64;
-        let runs = 10;
-        for seed in 0..runs {
-            let mut clique = Clique::new(n, Model::Cd);
-            let parts: Vec<NodeId> = (0..n).collect();
-            let mut rng = node_rng(seed, 1, 99);
-            let res = run_uniform_le(&mut clique, &parts, &mut rng, 2_000);
-            assert!(res.leader.is_some());
-            total += res.slots;
-        }
-        let avg = total as f64 / runs as f64;
-        assert!(avg < 60.0, "avg slots = {avg}");
-    }
-
-    #[test]
-    fn approximate_count_within_factor_16() {
-        for &n in &[16usize, 128, 1024] {
-            let mut clique = Clique::new(n, Model::Cd);
-            let parts: Vec<NodeId> = (0..n).collect();
-            let mut rng = node_rng(42, 2, 99);
-            let (est, _slots) = approximate_count(&mut clique, &parts, &mut rng, 9);
-            let ratio = est as f64 / n as f64;
-            assert!((1.0 / 16.0..=16.0).contains(&ratio), "n = {n}, est = {est}");
-        }
-    }
-
-    #[test]
-    fn le_energy_scales_with_slots_not_n() {
-        let n = 4096;
-        let mut clique = Clique::new(n, Model::Cd);
-        let parts: Vec<NodeId> = (0..n).collect();
-        let mut rng = node_rng(3, 3, 99);
-        let res = run_uniform_le(&mut clique, &parts, &mut rng, 2_000);
-        assert!(res.leader.is_some());
-        // Each participant is active every slot (full duplex run), so per-
-        // device energy is O(slots) — and slots is O(log log n).
-        let max_e = clique.meter().max_energy();
-        assert!(max_e <= 2 * res.slots, "max energy {max_e}");
-    }
-    #[test]
-    fn approximate_count_monotone_in_expectation() {
-        // Larger participant sets should not produce smaller estimates on
-        // average (fixed seeds, generous margins).
-        let avg = |n: usize| -> f64 {
-            let mut tot = 0.0;
-            for seed in 0..8u64 {
-                let mut clique = Clique::new(n, Model::Cd);
-                let parts: Vec<NodeId> = (0..n).collect();
-                let mut rng = node_rng(seed, 4, 99);
-                let (est, _) = approximate_count(&mut clique, &parts, &mut rng, 9);
-                tot += est as f64;
-            }
-            tot / 8.0
-        };
-        assert!(avg(512) > avg(8), "{} !> {}", avg(512), avg(8));
-    }
-
-    #[test]
-    fn le_respects_participant_subsets() {
-        let mut clique = Clique::new(64, Model::Cd);
-        let parts: Vec<NodeId> = (10..20).collect();
-        let mut rng = node_rng(3, 5, 99);
-        let res = run_uniform_le(&mut clique, &parts, &mut rng, 500);
-        let l = res.leader.expect("elects");
-        assert!((10..20).contains(&l));
-        // Non-participants spent nothing.
-        assert_eq!(clique.meter().energy(0), 0);
-        assert_eq!(clique.meter().energy(63), 0);
     }
 }

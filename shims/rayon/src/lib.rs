@@ -67,7 +67,7 @@ where
 /// A realized parallel iterator: the items plus the (fused) mapping.
 ///
 /// The shim is *eager at collect*: combinators only record the closure,
-/// and [`ParallelIterator::collect`] (or a reduction) runs the chunks.
+/// and [`ParIter::collect`] (or a reduction) runs the chunks.
 pub struct ParIter<T, R, F>
 where
     F: Fn(T) -> R + Sync,

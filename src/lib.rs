@@ -7,7 +7,7 @@
 //!   energy metering ([`ebc_radio`]).
 //! * [`graphs`] — deterministic and random topology generators
 //!   ([`ebc_graphs`]).
-//! * [`singlehop`] — single-hop (clique) leader-election building blocks
+//! * [`singlehop`] — the uniform single-hop leader-election schedule
 //!   ([`ebc_singlehop`]).
 //! * [`core`] — the paper's broadcast algorithms and lower-bound
 //!   reductions ([`ebc_core`]).

@@ -1,5 +1,5 @@
-//! Integration tests for the substrates: single-hop primitives feeding the
-//! multi-hop machinery, the LOCAL-simulation preprocessing, the clustering
+//! Integration tests for the substrates: the single-hop schedule feeding
+//! the multi-hop machinery, the LOCAL-simulation preprocessing, the clustering
 //! pipeline, and the executable Theorem 2 reduction.
 
 use ebc_core::cluster::{partition_beta, ClusterState};
@@ -7,22 +7,16 @@ use ebc_core::localsim::{build_tdma, is_two_hop_proper, learn_degree, two_hop_co
 use ebc_core::reduction::{run_reduction, DecayMiddle, UniformCdMiddle};
 use ebc_core::srcomm::{det_sr, Sr};
 use ebc_core::util::NodeRngs;
-use ebc_graphs::deterministic::{complete, grid, k2k};
+use ebc_graphs::deterministic::{grid, k2k};
 use ebc_graphs::random::bounded_degree;
-use ebc_radio::rng::node_rng;
-use ebc_radio::{Model, NodeId, Schedule, Sim};
-use ebc_singlehop::det::det_leader_election;
-use ebc_singlehop::{run_uniform_le, Clique};
+use ebc_radio::{Model, NodeId, Sim};
 
 #[test]
 fn single_hop_le_and_multi_hop_sr_share_the_schedule() {
     // The Lemma 8 SR-communication consumes exactly the uniform LE
     // schedule; verify both succeed under the same parameters.
     let delta = 64;
-    let mut clique = Clique::new(delta, Model::Cd);
-    let parts: Vec<NodeId> = (0..delta).collect();
-    let mut rng = node_rng(5, 0, 1);
-    let le = run_uniform_le(&mut clique, &parts, &mut rng, 500);
+    let le = run_reduction(delta, Model::Cd, |_| UniformCdMiddle::new(delta), 5, 500);
     assert!(le.leader.is_some());
 
     let g = ebc_graphs::deterministic::star(delta);
@@ -125,29 +119,6 @@ fn cluster_state_analysis_consistency() {
 }
 
 #[test]
-fn reduction_derived_le_matches_direct_le_shape() {
-    // The Theorem 2 reduction turns K_{2,k} broadcast into LE; its slot
-    // count should scale like the direct single-hop LE of the same model.
-    let k = 128;
-    let runs = 10;
-    let mut red_cd = 0u64;
-    let mut direct_cd = 0u64;
-    for seed in 0..runs {
-        let (r, _) = run_reduction(k, Model::Cd, |_| UniformCdMiddle::new(k), seed, 5_000);
-        assert!(r.leader.is_some());
-        red_cd += r.slots;
-        let mut clique = Clique::new(k, Model::Cd);
-        let parts: Vec<NodeId> = (0..k).collect();
-        let mut rng = node_rng(seed, 7, 3);
-        let le = run_uniform_le(&mut clique, &parts, &mut rng, 5_000);
-        assert!(le.leader.is_some());
-        direct_cd += le.slots;
-    }
-    let ratio = red_cd as f64 / direct_cd as f64;
-    assert!((0.2..=5.0).contains(&ratio), "ratio {ratio}");
-}
-
-#[test]
 fn reduction_gadget_graph_is_what_theorem2_assumes() {
     let g = k2k(6);
     // s and t non-adjacent, all middles adjacent to both.
@@ -156,65 +127,16 @@ fn reduction_gadget_graph_is_what_theorem2_assumes() {
         assert!(g.has_edge(0, m) && g.has_edge(1, m));
     }
     // And the reduction machinery elects a leader among exactly k middles.
-    let (res, _) = run_reduction(6, Model::NoCd, |_| DecayMiddle::new(6), 3, 2_000);
+    let res = run_reduction(6, Model::NoCd, |_| DecayMiddle::new(6), 3, 2_000);
     assert!(matches!(res.leader, Some(l) if l < 6));
 }
 
 #[test]
-fn det_sr_and_det_le_compose() {
-    // Deterministic primitives: LE on a clique picks the max-ID candidate;
-    // det SR on a star learns the min message — both with zero failure.
-    let n = 32;
-    let mut clique = Clique::new(n, Model::Cd);
-    let ids: Vec<u64> = (0..n).map(|v| v as u64 + 1).collect();
-    let cands: Vec<NodeId> = (0..n).step_by(5).collect();
-    let le = det_leader_election(&mut clique, &cands, &ids, n as u64);
-    assert_eq!(le.leader, 30);
-
+fn det_sr_learns_the_min_message_on_a_star() {
+    // Deterministic SR on a star learns the min message with zero failure.
     let g = ebc_graphs::deterministic::star(8);
     let mut sim = Sim::new(g, Model::Cd, 0);
     let senders: Vec<(NodeId, u64)> = (1..=8).map(|v| (v, 20 - v as u64)).collect();
     let got = det_sr(&mut sim, &senders, &[0], 32);
     assert_eq!(got[0], Some(12));
-}
-
-#[test]
-fn clique_behaves_like_complete_graph_sim() {
-    // The fast single-hop channel must agree with the general simulator on
-    // a complete graph.
-    let n = 6;
-    let g = complete(n);
-    let mut sim = Sim::new(g, Model::Cd, 0);
-    let mut fb_sim = Vec::new();
-    let mut b = ebc_radio::from_fns(
-        |v, _| {
-            if v < 2 {
-                ebc_radio::Action::Send(v as u8)
-            } else {
-                ebc_radio::Action::Listen
-            }
-        },
-        |v, _, fb: ebc_radio::Feedback<u8>| fb_sim.push((v, fb)),
-    );
-    sim.drive(
-        Schedule::Dense {
-            participants: &(0..n).collect::<Vec<_>>(),
-            slots: 1,
-        },
-        &mut b,
-    );
-    drop(b);
-
-    let mut clique = Clique::new(n, Model::Cd);
-    let actions: Vec<(NodeId, ebc_radio::Action<u8>)> = (0..n)
-        .map(|v| {
-            if v < 2 {
-                (v, ebc_radio::Action::Send(v as u8))
-            } else {
-                (v, ebc_radio::Action::Listen)
-            }
-        })
-        .collect();
-    let fb_clique = clique.slot(&actions);
-    assert_eq!(fb_sim, fb_clique);
 }
