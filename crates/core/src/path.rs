@@ -19,7 +19,7 @@
 //! marker from the path's endpoints retires the instance that never sees
 //! the payload.
 
-use ebc_radio::{Action, EventEngine, Feedback, Model, NextWake, NodeId, Protocol, Slot};
+use ebc_radio::{Action, Feedback, Model, NodeId, Schedule, Sim, Slot, SlotBehavior};
 use rand::Rng;
 
 use crate::util::NodeRngs;
@@ -106,7 +106,7 @@ pub struct PathRunStats {
     pub quiescence: Slot,
 }
 
-/// The Algorithm 1 protocol over the event engine.
+/// The Algorithm 1 protocol as a [`Schedule::Dynamic`] behavior.
 struct PathProtocol {
     n: usize,
     source: NodeId,
@@ -114,6 +114,11 @@ struct PathProtocol {
     insts: Vec<Vec<Inst>>,
     got_payload: Vec<Option<Slot>>,
     source_done: bool,
+    /// What each vertex heard in the slot just resolved (`None` unless it
+    /// listened); `next_wake` consumes it.
+    heard: Vec<Option<Feedback<PathMsg>>>,
+    /// The last slot in which any vertex was polled.
+    last_slot: Slot,
 }
 
 impl PathProtocol {
@@ -155,6 +160,8 @@ impl PathProtocol {
             insts,
             got_payload: vec![None; n],
             source_done: false,
+            heard: vec![None; n],
+            last_slot: 0,
         }
     }
 
@@ -217,14 +224,15 @@ fn sample_blocking_time(rng: &mut impl Rng, cap: Option<u64>) -> Slot {
     }
 }
 
-impl Protocol<PathMsg> for PathProtocol {
-    fn first_wake(&mut self, _v: NodeId) -> NextWake {
+impl SlotBehavior<PathMsg> for PathProtocol {
+    fn first_wake(&mut self, _v: NodeId) -> Option<Slot> {
         // Everyone acts at slot 1: the source transmits the payload, all
         // others announce their blocking time and listen.
-        NextWake::At(1)
+        Some(1)
     }
 
-    fn on_wake(&mut self, v: NodeId, now: Slot) -> Action<PathMsg> {
+    fn act(&mut self, v: NodeId, now: Slot) -> Action<PathMsg> {
+        self.last_slot = now;
         if v == self.source {
             if now == 1 && !self.source_done {
                 self.got_payload[v] = Some(0);
@@ -282,13 +290,18 @@ impl Protocol<PathMsg> for PathProtocol {
         }
     }
 
+    fn feedback(&mut self, v: NodeId, _now: Slot, fb: Feedback<PathMsg>) {
+        self.heard[v] = Some(fb);
+    }
+
     // Index loop kept: the body borrows `self` (downstream, got_payload)
     // while mutating `self.insts[v][i]`, which `iter_mut` would forbid.
     #[allow(clippy::needless_range_loop)]
-    fn after_slot(&mut self, v: NodeId, now: Slot, heard: Option<Feedback<PathMsg>>) -> NextWake {
+    fn next_wake(&mut self, v: NodeId, now: Slot) -> Option<Slot> {
+        let heard = self.heard[v].take();
         if v == self.source {
             self.source_done = true;
-            return NextWake::Done;
+            return None;
         }
         // Extract, per instance, the content heard from its upstream.
         let mut heard_contents: Vec<Option<Content>> = vec![None; self.insts[v].len()];
@@ -368,15 +381,11 @@ impl Protocol<PathMsg> for PathProtocol {
                 }
             }
         }
-        let next = self.insts[v]
+        self.insts[v]
             .iter()
             .filter_map(|inst| inst.next_wake())
-            .min();
-        match next {
-            Some(t) if t > now => NextWake::At(t),
-            Some(_) => NextWake::At(now + 1),
-            None => NextWake::Done,
-        }
+            .min()
+            .map(|t| t.max(now + 1))
     }
 }
 
@@ -402,31 +411,29 @@ impl Default for PathConfig {
     }
 }
 
-/// Runs Algorithm 1 on the path `engine.graph()` (which must be the
-/// `0–1–…–(n−1)` path) from `source`.
+/// Runs Algorithm 1 on the path `sim.graph()` (which must be the
+/// `0–1–…–(n−1)` path) from `source`, drawing randomness from
+/// `sim.seed()`.
+///
+/// The run is one [`Schedule::Dynamic`] drive over every vertex. Wakes
+/// past the slot budget (`8n + 64` with capped blocking times) are
+/// dropped. The returned slots count from the drive's first slot.
 ///
 /// # Panics
 ///
 /// Panics if the graph is not that path or `oriented` is set with
 /// `source != 0`.
-pub fn run_path_broadcast(
-    engine: &mut EventEngine,
-    source: NodeId,
-    cfg: &PathConfig,
-    seed: u64,
-) -> PathRunStats {
-    let n = engine.graph().n();
+pub fn run_path_broadcast(sim: &mut Sim, source: NodeId, cfg: &PathConfig) -> PathRunStats {
+    let n = sim.graph().n();
     assert!(
-        n >= 2
-            && engine.graph().m() == n - 1
-            && (0..n - 1).all(|v| engine.graph().has_edge(v, v + 1)),
+        n >= 2 && sim.graph().m() == n - 1 && (0..n - 1).all(|v| sim.graph().has_edge(v, v + 1)),
         "graph must be the 0–1–…–(n−1) path"
     );
     assert!(
         !cfg.oriented || source == 0,
         "oriented mode assumes the source is vertex 0"
     );
-    let mut rngs = NodeRngs::new(seed, n, 0x9a78);
+    let mut rngs = NodeRngs::new(sim.seed(), n, 0x9a78);
     let cap = cfg.cap_blocking.then_some(n as u64);
     let mut proto = PathProtocol::new(n, source, cfg.oriented, cap, &mut rngs);
     let budget = if cfg.cap_blocking {
@@ -434,7 +441,14 @@ pub fn run_path_broadcast(
     } else {
         1 << 40
     };
-    let outcome = engine.run(&mut proto, budget);
+    let participants: Vec<NodeId> = (0..n).collect();
+    sim.drive(
+        Schedule::Dynamic {
+            participants: &participants,
+            slots: budget + 1,
+        },
+        &mut proto,
+    );
     let delivery_time = proto
         .got_payload
         .iter()
@@ -445,22 +459,22 @@ pub fn run_path_broadcast(
         all_informed: proto.got_payload.iter().all(|s| s.is_some()),
         delivery_slot: proto.got_payload,
         delivery_time,
-        quiescence: outcome.last_slot.unwrap_or(0),
+        quiescence: proto.last_slot,
     }
 }
 
-/// Convenience: build a LOCAL event engine over the `n`-path and run the
-/// broadcast, returning the stats and the engine (for energy inspection).
+/// Convenience: build a LOCAL simulation over the `n`-path and run the
+/// broadcast, returning the stats and the simulation (for energy
+/// inspection).
 pub fn path_broadcast(
     n: usize,
     source: NodeId,
     cfg: &PathConfig,
     seed: u64,
-) -> (PathRunStats, EventEngine) {
-    let g = ebc_graphs::deterministic::path(n);
-    let mut engine = EventEngine::new(g, Model::Local);
-    let stats = run_path_broadcast(&mut engine, source, cfg, seed);
-    (stats, engine)
+) -> (PathRunStats, Sim) {
+    let mut sim = Sim::new(ebc_graphs::deterministic::path(n), Model::Local, seed);
+    let stats = run_path_broadcast(&mut sim, source, cfg);
+    (stats, sim)
 }
 
 #[cfg(test)]
@@ -531,7 +545,7 @@ mod tests {
         let mut total_mean = 0.0;
         let runs = 5;
         for seed in 0..runs {
-            let (stats, engine) = path_broadcast(
+            let (stats, sim) = path_broadcast(
                 n,
                 0,
                 &PathConfig {
@@ -541,7 +555,7 @@ mod tests {
                 seed,
             );
             assert!(stats.all_informed);
-            total_mean += engine.meter().report().mean;
+            total_mean += sim.meter().report().mean;
         }
         let avg = total_mean / runs as f64;
         let logn = (n as f64).log2();

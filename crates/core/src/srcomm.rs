@@ -754,6 +754,8 @@ pub fn det_sr(
     for x in 0..bits {
         let level_bits = x + 1;
         let level_slots = 1u64 << level_bits;
+        // The slot of `v`'s own message at this level, if `v` sends.
+        let own_slot = |v: NodeId| sender_of.get(&v).map(|m| m >> (bits - level_bits));
         // occupied0[ri]: whether the prefix‖0 slot had activity this level.
         let mut heard0: Vec<bool> = vec![false; receivers.len()];
         let mut heard1: Vec<bool> = vec![false; receivers.len()];
@@ -777,7 +779,7 @@ pub fn det_sr(
             // Listening at a slot occupied by our own message is pointless
             // (and impossible while sending); our own slot is
             // known-occupied instead.
-            let own = sender_of.get(&v).map(|m| m >> (bits - level_bits));
+            let own = own_slot(v);
             if own != Some(base) {
                 by_slot.entry(base).or_default().1.push(v);
             }
@@ -785,55 +787,42 @@ pub fn det_sr(
                 by_slot.entry(base + 1).or_default().1.push(v);
             }
         }
-        let mut consumed = 0u64;
+        let mut schedule = SparseSchedule::new();
         for (t, (slot_senders, slot_listeners)) in by_slot {
-            sim.skip(t - consumed);
-            consumed = t + 1;
-            let sender_set: std::collections::HashSet<NodeId> =
-                slot_senders.iter().copied().collect();
-            let mut behavior = ebc_radio::from_fns(
-                |v, _lt| {
-                    if sender_set.contains(&v) {
-                        Action::Send(1u8)
-                    } else {
-                        Action::Listen
-                    }
-                },
-                |v, _lt, fb: Feedback<u8>| {
-                    let ri = recv_index[&v];
-                    let occupied = !matches!(fb, Feedback::Silence);
-                    let base = prefix[ri] << 1;
-                    if t == base {
-                        heard0[ri] = occupied;
-                    } else if t == base + 1 {
-                        heard1[ri] = occupied;
-                    }
-                },
-            );
-            let slot_participants: Vec<NodeId> = slot_senders
-                .iter()
-                .copied()
-                .chain(
-                    slot_listeners
-                        .iter()
-                        .copied()
-                        .filter(|v| !sender_set.contains(v)),
-                )
-                .collect();
-            sim.drive(
-                Schedule::Dense {
-                    participants: &slot_participants,
-                    slots: 1,
-                },
-                &mut behavior,
-            );
+            schedule.push(t, slot_senders.into_iter().chain(slot_listeners));
         }
-        sim.skip(level_slots - consumed);
+        let mut behavior = ebc_radio::from_fns(
+            |v, t| {
+                if own_slot(v) == Some(t) {
+                    Action::Send(1u8)
+                } else {
+                    Action::Listen
+                }
+            },
+            |v, t, fb: Feedback<u8>| {
+                let ri = recv_index[&v];
+                let occupied = !matches!(fb, Feedback::Silence);
+                let base = prefix[ri] << 1;
+                if t == base {
+                    heard0[ri] = occupied;
+                } else if t == base + 1 {
+                    heard1[ri] = occupied;
+                }
+            },
+        );
+        sim.drive(
+            Schedule::Sparse {
+                schedule: &schedule,
+                slots: level_slots,
+            },
+            &mut behavior,
+        );
+        drop(behavior);
         for (ri, &v) in receivers.iter().enumerate() {
             if !alive[ri] {
                 continue;
             }
-            let own = sender_of.get(&v).map(|m| m >> (bits - level_bits));
+            let own = own_slot(v);
             let base = prefix[ri] << 1;
             let occ0 = heard0[ri] || own == Some(base);
             let occ1 = heard1[ri] || own == Some(base + 1);

@@ -22,7 +22,7 @@
 //! assert!(alg.run(&mut sim, 0).all_informed());
 //! ```
 
-use ebc_radio::{EventEngine, Graph, Model, NodeId, Sim};
+use ebc_radio::{Graph, Model, NodeId, Sim};
 
 use crate::baseline::{bgi_decay_broadcast, flood_local};
 use crate::cdfast::{broadcast_theorem20, Theorem20Config};
@@ -38,9 +38,8 @@ use crate::BroadcastOutcome;
 /// A broadcast algorithm as a uniform, object-safe strategy.
 ///
 /// Implementations must be deterministic given `sim.seed()` and must meter
-/// all energy through `sim` (adapters that internally delegate to an
-/// [`EventEngine`] fold the sub-run's meter back via
-/// [`Sim::absorb_meter`]).
+/// all energy through `sim` (the path adapter, which runs on a private
+/// [`Sim`], folds that run's meter back via [`Sim::absorb_meter`]).
 pub trait BroadcastAlgorithm: Sync {
     /// Stable machine name (also the scenario-matrix JSON key).
     fn name(&self) -> &'static str;
@@ -71,10 +70,10 @@ pub trait BroadcastAlgorithm: Sync {
     /// `Sim` they are handed, and every registered algorithm runs a
     /// bounded, instance-derived number of slots, so under message loss
     /// they degrade to a partial informed set rather than hanging.
-    /// Adapters that delegate slots to a sub-engine bypassing the choke
-    /// point (the §8 path algorithm's [`EventEngine`]) override this to
-    /// `false` — running them under an active plan would silently
-    /// simulate a clean channel, which harnesses must skip or flag.
+    /// Adapters whose slots run on a private [`Sim`] that never sees the
+    /// caller's plan (the §8 path algorithm) override this to `false` —
+    /// running them under an active plan would silently simulate a clean
+    /// channel, which harnesses must skip or flag.
     fn fault_tolerant(&self) -> bool {
         true
     }
@@ -284,24 +283,24 @@ impl BroadcastAlgorithm for PathAlgorithm {
         n >= 2 && graph.m() == n - 1 && (0..n - 1).all(|v| graph.has_edge(v, v + 1))
     }
     fn fault_tolerant(&self) -> bool {
-        // The slots run on a private EventEngine, which bypasses the
-        // Sim's fault choke point: an active plan would be silently
-        // ignored, simulating a clean channel under a faulty label.
+        // The slots run on a private Sim that never sees the caller's
+        // fault plan: an active plan would be silently ignored, simulating
+        // a clean channel under a faulty label.
         false
     }
     fn run(&self, sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
-        // The protocol sleeps for long data-dependent stretches, so it runs
-        // on the event-driven engine (over the *same* shared graph — no CSR
-        // copy) and its meter folds back into `sim`.
+        // The protocol runs on a private Sim over the *same* shared graph
+        // (no CSR copy); its charges fold back into `sim`, which books the
+        // whole sub-run as one skip.
         sim.span_enter(self.name());
-        let mut engine = EventEngine::new(sim.graph_arc().clone(), sim.model());
-        let stats = run_path_broadcast(&mut engine, source, &PathConfig::default(), sim.seed());
-        sim.absorb_meter(engine.meter());
+        let mut private = Sim::new(sim.graph_arc().clone(), sim.model(), sim.seed());
+        let stats = run_path_broadcast(&mut private, source, &PathConfig::default());
+        sim.absorb_meter(private.meter());
         sim.skip(stats.quiescence + 1);
         sim.span_exit();
         if sim.telemetry_enabled() {
-            // The engine's slots bypass the sim; surface the delivery curve
-            // it reported as gauges on the global clock instead.
+            // The private run's slots bypass `sim`; surface the delivery
+            // curve it reported as gauges on the global clock instead.
             let mut slots: Vec<u64> = stats.delivery_slot.iter().flatten().copied().collect();
             slots.sort_unstable();
             for (rank, s) in slots.iter().enumerate() {
@@ -510,6 +509,13 @@ mod tests {
                         model,
                         family.name(),
                     );
+                    assert!(
+                        sim.meter().idle_skipped() <= sim.now(),
+                        "{} under {:?} on {} skipped more slots than its clock",
+                        alg.name(),
+                        model,
+                        family.name(),
+                    );
                 }
             }
         }
@@ -535,7 +541,7 @@ mod tests {
                 assert_eq!(
                     alg.name(),
                     "path_theorem21",
-                    "only the EventEngine-backed path adapter may opt out"
+                    "only the path adapter, which runs on a private Sim, may opt out"
                 );
                 continue;
             }
@@ -597,7 +603,10 @@ mod tests {
         let mut sim = Sim::new(path(32), Model::Local, 3);
         let out = PathAlgorithm.run(&mut sim, 0);
         assert!(out.all_informed());
-        assert!(sim.meter().total_energy() > 0, "engine energy not absorbed");
+        assert!(
+            sim.meter().total_energy() > 0,
+            "private run energy not absorbed"
+        );
         assert!(sim.now() > 0, "clock did not advance over the sub-run");
         assert!(sim.meter().last_active().unwrap() < sim.now());
     }

@@ -152,9 +152,12 @@ impl EnergyMeter {
     }
 
     /// Folds `other`'s charges into this meter (device-wise sums, latest
-    /// activity wins). Used when a sub-engine runs part of a simulation —
-    /// e.g. an event-driven phase inside a slot-driven algorithm — and its
-    /// energy must count toward the enclosing run.
+    /// activity wins). Used when a phase runs on a private [`crate::Sim`]
+    /// and its energy must count toward the enclosing run.
+    ///
+    /// `other`'s `idle_skipped` is not added: the enclosing run books the
+    /// phase's whole span with its own [`crate::Sim::skip`], so adding the
+    /// private run's skips would count those slots twice.
     ///
     /// # Panics
     ///
@@ -174,7 +177,6 @@ impl EnergyMeter {
         for (a, b) in self.lost_sends.iter_mut().zip(&other.lost_sends) {
             *a += b;
         }
-        self.idle_skipped += other.idle_skipped;
         if let Some(t) = other.last_active {
             self.bump(t);
         }
@@ -373,8 +375,8 @@ mod tests {
         let mut other = EnergyMeter::new(2);
         other.note_skip(7);
         m.merge(&other);
-        assert_eq!(m.idle_skipped(), 130);
-        assert_eq!(m.report().idle_skipped, 130);
+        assert_eq!(m.idle_skipped(), 123, "the caller books a merged span");
+        assert_eq!(m.report().idle_skipped, 123);
     }
 
     #[test]

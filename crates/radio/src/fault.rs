@@ -17,7 +17,6 @@
 //! stores no fault state for it, so a clean run is bit-for-bit the
 //! pre-fault engine.
 
-use crate::bitset::BitSet;
 use crate::model::{Feedback, Model};
 use crate::rng::splitmix64;
 use crate::{NodeId, Slot};
@@ -172,8 +171,8 @@ pub struct FaultState {
     /// The fault key all randomized draws hash from (derived from the
     /// simulation master seed under [`FAULT_STREAM`]).
     key: u64,
-    /// Packed set of currently-down devices.
-    down: BitSet,
+    /// Whether each device is currently down.
+    down: Vec<bool>,
     /// The number of members of `down`, tracked incrementally.
     down_count: usize,
     /// Crash/churn events sorted by `(slot, node, kind)`; `Down` sorts
@@ -233,7 +232,7 @@ impl FaultState {
         FaultState {
             plan,
             key,
-            down: BitSet::new(n),
+            down: vec![false; n],
             down_count: 0,
             events,
             next_event: 0,
@@ -312,15 +311,15 @@ impl FaultState {
             }
             match kind {
                 EventKind::Down => {
-                    if !self.down.contains(v) {
-                        self.down.insert(v);
+                    if !self.down[v] {
+                        self.down[v] = true;
                         self.down_count += 1;
                         self.newly_down.push(v);
                     }
                 }
                 EventKind::Up => {
-                    if self.down.contains(v) {
-                        self.down.remove(v);
+                    if self.down[v] {
+                        self.down[v] = false;
                         self.down_count -= 1;
                         // A same-batch leave+join nets to up: it is not a
                         // crash transition for this slot.
@@ -336,7 +335,7 @@ impl FaultState {
 
     /// Whether device `v` is currently down (crashed or churned out).
     pub fn is_down(&self, v: NodeId) -> bool {
-        self.down_count > 0 && self.down.contains(v)
+        self.down_count > 0 && self.down[v]
     }
 
     /// Whether any device is currently down (fast-path gate for the

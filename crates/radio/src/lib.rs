@@ -17,24 +17,20 @@
 //! * [`Model::Beep`] — content-free: a listener only learns whether at least
 //!   one neighbor transmitted.
 //!
-//! Two execution engines are provided:
+//! One engine, [`Sim`], runs every algorithm. Algorithms in the paper are
+//! built from primitives occupying a block of slots with a known
+//! participant set; [`Sim::drive`] executes such a block under a
+//! [`Schedule`] (dense range, CSR-backed [`SparseSchedule`] slots, or a
+//! dynamic wake-queue fed by [`SlotBehavior`] hints, for protocols whose
+//! wake times are data-dependent, like the paper's §8 path algorithm),
+//! charging energy only for scheduled participants, while [`Sim::skip`]
+//! advances the global clock over provably-idle regions so reported
+//! *time* still counts them.
 //!
-//! * [`Sim`] — the *phase-composed* engine. Algorithms in the paper are
-//!   built from primitives occupying a contiguous block of slots with a
-//!   known participant set; [`Sim::drive`] executes such a block under a
-//!   [`Schedule`] (dense range, CSR-backed [`SparseSchedule`] slots, or a
-//!   dynamic wake-queue fed by [`SlotBehavior`] hints), charging energy
-//!   only for scheduled participants, while [`Sim::skip`] advances the
-//!   global clock over provably-idle regions so reported *time* still
-//!   counts them.
-//! * [`EventEngine`] — an event-driven engine with a wake queue, for
-//!   protocols whose wake times are data-dependent (the paper's §8 path
-//!   algorithm). Nodes implement [`Protocol`].
-//!
-//! Both engines resolve collisions through one kernel: a scan of each
-//! listener's sorted CSR neighbor row ([`Graph::neighbor_row`]) that tests
-//! every neighbor against the slot's sender index and exits early per
-//! model. [`resolve`] states the same semantics over an iterator of
+//! Every schedule shape resolves collisions through one kernel: a scan of
+//! each listener's sorted CSR neighbor row ([`Graph::neighbor_row`]) that
+//! tests every neighbor against the slot's sender index and exits early
+//! per model. [`resolve`] states the same semantics over an iterator of
 //! transmitting neighbors.
 //!
 //! # Example
@@ -64,9 +60,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bitset;
 mod energy;
-mod engine;
 pub mod fault;
 mod graph;
 mod model;
@@ -74,9 +68,7 @@ pub mod rng;
 mod sim;
 pub mod telemetry;
 
-pub use bitset::BitSet;
 pub use energy::{EnergyMeter, EnergyReport};
-pub use engine::{EventEngine, NextWake, Protocol, RunOutcome};
 pub use fault::{FaultPlan, FaultState, JammerStrategy, SlotVerdict};
 pub use graph::{Graph, GraphError};
 pub use model::{resolve, Action, Feedback, Model};

@@ -388,7 +388,7 @@ impl Sim {
     }
 
     /// The shared handle to the underlying graph (cheap to clone; useful
-    /// for spawning sub-engines over the same topology).
+    /// for spawning private simulations over the same topology).
     pub fn graph_arc(&self) -> &Arc<Graph> {
         &self.graph
     }
@@ -435,9 +435,11 @@ impl Sim {
         self.meter.note_skip(slots);
     }
 
-    /// Folds a sub-engine's [`EnergyMeter`] into this simulation's meter —
-    /// for algorithms that delegate a phase to an [`crate::EventEngine`]
-    /// over the same graph. The caller advances the clock with [`skip`].
+    /// Folds the [`EnergyMeter`] of a private [`Sim`] over the same graph
+    /// into this simulation's meter — for an algorithm that runs a phase
+    /// on its own `Sim` (the §8 path algorithm). Charges and the last
+    /// active slot fold in; the private run's skips do not. The caller
+    /// books the phase's span on this clock with [`skip`].
     ///
     /// # Panics
     ///
@@ -1447,6 +1449,34 @@ mod tests {
             },
             &mut Bad,
         );
+    }
+
+    #[test]
+    fn dynamic_drops_wakes_at_or_beyond_slots() {
+        // The slot count caps a dynamic drive: a device waking every third
+        // slot is polled at 0, 3, 6 and 9, its wake at 12 is dropped, and
+        // the clock still stops at exactly `slots`.
+        struct EveryThird;
+        impl SlotBehavior<u8> for EveryThird {
+            fn act(&mut self, _v: NodeId, _t: u64) -> Action<u8> {
+                Action::Send(1)
+            }
+            fn feedback(&mut self, _v: NodeId, _t: u64, _fb: Feedback<u8>) {}
+            fn next_wake(&mut self, _v: NodeId, t: u64) -> Option<u64> {
+                Some(t + 3)
+            }
+        }
+        let mut sim = Sim::new(Graph::from_edges(1, &[]).unwrap(), Model::Cd, 0);
+        sim.drive(
+            Schedule::Dynamic {
+                participants: &[0],
+                slots: 10,
+            },
+            &mut EveryThird,
+        );
+        assert_eq!(sim.now(), 10);
+        assert_eq!(sim.meter().energy(0), 4);
+        assert_eq!(sim.meter().idle_skipped(), 6);
     }
 
     #[test]

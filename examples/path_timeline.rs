@@ -9,25 +9,25 @@
 //! Run with: `cargo run --release --example path_timeline`
 
 use ebc_core::path::{run_path_broadcast, PathConfig};
-use ebc_radio::{EventEngine, EventKind, Model};
+use ebc_radio::{EventKind, Model, Sim};
 
 fn main() {
     let n = 32;
     let seed = 8;
     let g = ebc_graphs::deterministic::path(n);
-    let mut engine = EventEngine::new(g, Model::Local);
-    engine.enable_telemetry();
+    let mut sim = Sim::new(g, Model::Local, seed);
+    sim.enable_telemetry();
     let cfg = PathConfig {
         oriented: true,
         cap_blocking: true,
     };
-    let stats = run_path_broadcast(&mut engine, 0, &cfg, seed);
+    let stats = run_path_broadcast(&mut sim, 0, &cfg);
     assert!(stats.all_informed);
 
     let max_slot = stats.quiescence as usize;
     // grid[slot][vertex]
     let mut grid = vec![vec![' '; n]; max_slot + 1];
-    let tel = engine.telemetry().expect("telemetry enabled");
+    let tel = sim.telemetry().expect("telemetry enabled");
     for e in tel.events() {
         let c = match e.kind() {
             EventKind::Tx => '#',
@@ -57,8 +57,8 @@ fn main() {
         "delivery time = {} slots (≤ 2n = {}), max energy = {}, mean = {:.1}\n",
         stats.delivery_time,
         2 * n,
-        engine.meter().max_energy(),
-        engine.meter().report().mean
+        sim.meter().max_energy(),
+        sim.meter().report().mean
     );
     print!("slot  ");
     for v in 0..n {
