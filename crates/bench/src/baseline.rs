@@ -2,10 +2,11 @@
 //! registered experiment.
 //!
 //! [`baseline_doc`] distills one experiment run into a compact,
-//! diff-friendly document: per-case summary means, the experiment's
-//! [`Gateable`] scalars (e.g. `fig1_path`'s `within_2n` rate, Theorem 2's
-//! slot counts), and — where the cases form `(algorithm, family, model)`
-//! cells — fitted scaling exponents with their bootstrap CIs.
+//! diff-friendly document: per-case summary means, the experiment's gate
+//! scalars ([`ExperimentResult::gate_scalars`]: e.g. `fig1_path`'s
+//! `within_2n` rate, Theorem 2's slot counts), and — where the cases form
+//! `(algorithm, family, model)` cells — fitted scaling exponents with
+//! their bootstrap CIs.
 //! `--update-baselines` writes one `bench-baselines/<experiment>.json`
 //! per registered experiment; `--check-against <dir>` re-runs each
 //! experiment, builds the same document fresh, and diffs the two — a
@@ -30,7 +31,7 @@ use std::path::{Path, PathBuf};
 
 use crate::analysis::{self, ci_from_json, FIT_METRICS};
 use crate::cache::CacheStats;
-use crate::experiments::{ExperimentResult, Gateable};
+use crate::experiments::ExperimentResult;
 use crate::json::Json;
 use crate::measure::Case;
 

@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-use ebc_graphs::datasets::{family_files, file_digest, sample_path, SAMPLE_FILES};
+use ebc_graphs::datasets::{family_files, sample_path, SAMPLE_FILES};
 
 use crate::json::Json;
 use crate::measure::{Case, Measurement};
@@ -127,7 +127,9 @@ impl SourceDigests {
         let mut digests = BTreeMap::new();
         digests.insert("code", code.to_string());
         for file in SAMPLE_FILES {
-            let digest = file_digest(&path_of(file)).unwrap_or_else(|_| "absent".to_string());
+            let digest = std::fs::read(path_of(file))
+                .map(|bytes| hex16(fnv1a64(&bytes)))
+                .unwrap_or_else(|_| "absent".to_string());
             digests.insert(dataset_dep(file), digest);
         }
         SourceDigests { digests }
@@ -553,6 +555,11 @@ mod tests {
             rebuilt.digest(social),
             "dataset digests do not depend on the code"
         );
+        // The planted directory holds no dataset files: each digests as
+        // `absent`.
+        for file in SAMPLE_FILES {
+            assert_eq!(d.digest(dataset_dep(file)), "absent", "{file}");
+        }
     }
 
     #[test]

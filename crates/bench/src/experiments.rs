@@ -40,7 +40,7 @@ pub struct ExperimentSpec {
     pub run: fn(&RunConfig, &mut CaseRunner) -> ExperimentOutput,
     /// Experiment-specific scalars for the baseline regression gate
     /// (e.g. `fig1_path`'s `within_2n` rate, Theorem 2's slot counts) —
-    /// folded into [`Gateable::gate_scalars`] next to the generic
+    /// folded into [`ExperimentResult::gate_scalars`] next to the generic
     /// per-experiment energy means. `None` for experiments whose per-case
     /// summaries already say everything gateable.
     pub gate: Option<fn(&ExperimentResult) -> Vec<GateScalar>>,
@@ -65,23 +65,18 @@ impl GateScalar {
     }
 }
 
-/// Experiments that declare scalar outputs for the regression gate.
-///
-/// Every [`ExperimentResult`] is gateable: the default scalars are the
-/// grand means of the standard energy metrics over all cases, and specs
-/// with a [`gate`] hook contribute their experiment-specific scalars
-/// (delivery-deadline rates, lower-bound slot counts, …) on top. The
-/// baseline gate records these under a `scalars` section and diffs them
-/// with the same relative tolerance as per-case means.
-///
-/// [`gate`]: ExperimentSpec::gate
-pub trait Gateable {
-    /// The scalars the gate records and diffs, in stable order.
-    fn gate_scalars(&self) -> Vec<GateScalar>;
-}
-
-impl Gateable for ExperimentResult {
-    fn gate_scalars(&self) -> Vec<GateScalar> {
+impl ExperimentResult {
+    /// The scalars the regression gate records and diffs, in stable order.
+    ///
+    /// Every result is gateable: the default scalars are the grand means
+    /// of the standard energy metrics over all cases, and specs with a
+    /// [`gate`] hook contribute their experiment-specific scalars
+    /// (delivery-deadline rates, lower-bound slot counts, …) on top. The
+    /// baseline gate records these under a `scalars` section and diffs
+    /// them with the same relative tolerance as per-case means.
+    ///
+    /// [`gate`]: ExperimentSpec::gate
+    pub fn gate_scalars(&self) -> Vec<GateScalar> {
         let mut scalars = Vec::new();
         // Per-experiment energy means: the grand mean over cases of each
         // energy metric's per-case mean (skipped where a metric is absent

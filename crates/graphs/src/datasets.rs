@@ -1,5 +1,5 @@
-//! Real-graph ingestion: pluggable dataset parsers, a binary CSR cache,
-//! and radio topologies derived from parsed data.
+//! Real-graph ingestion: pluggable dataset parsers and radio topologies
+//! derived from parsed data.
 //!
 //! Every synthetic family in this crate draws its structure from a
 //! generator; this module instead ingests *observed* topologies — the
@@ -13,15 +13,6 @@
 //!   self-loops in strict formats, out-of-range ids, empty files — yields
 //!   a typed [`DatasetError`], never a panic. Comment lines may contain
 //!   arbitrary unicode; CRLF line endings are accepted everywhere.
-//! * **Binary CSR cache** ([`load_graph_cached`]): the first (cold) parse
-//!   of a dataset writes its CSR arrays to
-//!   `<cache>/datasets/<stem>-<hash>.csrbin`; later loads skip parsing and
-//!   `Graph` construction entirely and reload the arrays in milliseconds.
-//!   Entries are keyed on the source file's *content digest* (with a
-//!   size + mtime fast path), so editing the dataset invalidates the
-//!   cache; a checksum plus full CSR revalidation
-//!   ([`Graph::from_csr_parts`]) means a torn or corrupted entry degrades
-//!   to a cold parse, never to a wrong graph.
 //! * **Derived topologies**: [`unit_disk_of_coords`] (transmission-range
 //!   graphs over real coordinate files, grid-bucketed so million-point
 //!   fields build in `O(n · deg)`), [`k_nearest`] sensor fields, and
@@ -31,12 +22,13 @@
 //! * **The vendored samples** ([`SAMPLE_SOCIAL`], [`SAMPLE_ROADNET`],
 //!   [`SAMPLE_ROADNET_COORDS`]): two tiny offline datasets under
 //!   `datasets/` backing the `ds-*` members of
-//!   [`crate::families::Family`]; [`family_files`] maps each dataset
-//!   family to the files whose content digests its bench cells must be
-//!   keyed on.
+//!   [`crate::families::Family`]; each sample graph is parsed once per
+//!   process. [`family_files`] maps each dataset family to the files
+//!   whose content digests its bench cells must be keyed on.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ebc_radio::rng::node_rng;
 use ebc_radio::{Graph, GraphError};
@@ -75,7 +67,7 @@ pub fn family_files(family: &str) -> &'static [&'static str] {
 /// Error ingesting a dataset file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatasetError {
-    /// The file could not be read (or its metadata stat'ed).
+    /// The file could not be read.
     Io {
         /// The file involved.
         path: PathBuf,
@@ -522,58 +514,6 @@ pub fn detect_format(path: &Path, text: &str) -> DatasetFormat {
 }
 
 // ---------------------------------------------------------------------------
-// Content digests (FNV-1a 64)
-// ---------------------------------------------------------------------------
-
-/// FNV-1a 64 over `bytes` — stable across platforms and runs; the cache
-/// and staleness keys need reproducibility, not cryptography.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a folded over 8-byte little-endian words (remainder bytes
-/// zero-padded), with the length mixed in so padding cannot alias. ~8×
-/// fewer multiply rounds than byte-wise FNV — the `.csrbin` checksum
-/// runs over megabytes on every warm load, and this keeps it off the
-/// critical path. Only used inside the binary cache format (the *source*
-/// digest stays byte-wise [`fnv1a64`], matching the bench layer's).
-fn fnv1a64_words(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |w: u64| {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    let chunks = bytes.chunks_exact(8);
-    let rest = chunks.remainder();
-    for c in chunks {
-        fold(u64::from_le_bytes(c.try_into().expect("8 bytes")));
-    }
-    if !rest.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        fold(u64::from_le_bytes(tail));
-    }
-    fold(bytes.len() as u64);
-    h
-}
-
-/// The content digest of one file, as the 16-hex-digit string the bench
-/// layer stores next to its code digest.
-///
-/// # Errors
-///
-/// [`DatasetError::Io`] if the file cannot be read.
-pub fn file_digest(path: &Path) -> Result<String, DatasetError> {
-    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    Ok(format!("{:016x}", fnv1a64(&bytes)))
-}
-
-// ---------------------------------------------------------------------------
 // Directory resolution
 // ---------------------------------------------------------------------------
 
@@ -596,220 +536,27 @@ pub fn dataset_dir() -> PathBuf {
     }
 }
 
-/// Where binary CSR cache entries live: `$EBC_DATASET_CACHE_DIR` if set,
-/// else `<workspace>/.ebc-cache/datasets` (sharing the bench cell cache's
-/// root, already gitignored).
-pub fn dataset_cache_dir() -> PathBuf {
-    match std::env::var_os("EBC_DATASET_CACHE_DIR") {
-        Some(dir) => PathBuf::from(dir),
-        None => workspace_root().join(".ebc-cache").join("datasets"),
-    }
-}
-
 /// The full path of one vendored (or `--dataset-dir`-relocated) file.
 pub fn sample_path(file: &str) -> PathBuf {
     dataset_dir().join(file)
 }
 
 // ---------------------------------------------------------------------------
-// Binary CSR cache
+// Loaders
 // ---------------------------------------------------------------------------
 
-/// Magic + version prefix of `.csrbin` entries.
-const CSR_MAGIC: &[u8; 8] = b"EBCCSR1\n";
-
-/// A dataset graph plus where it came from.
-#[derive(Debug)]
-pub struct LoadedDataset {
-    /// The CSR graph.
-    pub graph: Graph,
-    /// Whether the binary cache served it (false = cold text parse).
-    pub from_cache: bool,
-}
-
-/// Source-file identity stored in (and checked against) a cache entry.
-struct SourceStamp {
-    digest: u64,
-    len: u64,
-    mtime_s: u64,
-    mtime_ns: u32,
-}
-
-impl SourceStamp {
-    fn stat(path: &Path) -> Result<(std::fs::Metadata, u64, u32), DatasetError> {
-        let meta = std::fs::metadata(path).map_err(|e| io_err(path, e))?;
-        let (s, ns) = meta
-            .modified()
-            .ok()
-            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-            .map(|d| (d.as_secs(), d.subsec_nanos()))
-            .unwrap_or((0, 0));
-        Ok((meta, s, ns))
-    }
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
-}
-
-/// The cache entry path for `path`: `<stem>-<hash-of-absolute-path>.csrbin`
-/// (the path hash keeps same-named files from distinct dirs apart; the
-/// stem keeps entries human-recognizable).
-fn cache_entry_path(cache_dir: &Path, path: &Path) -> PathBuf {
-    let abs = path
-        .canonicalize()
-        .unwrap_or_else(|_| path.to_path_buf())
-        .to_string_lossy()
-        .into_owned();
-    let stem = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "dataset".into());
-    cache_dir.join(format!("{stem}-{:016x}.csrbin", fnv1a64(abs.as_bytes())))
-}
-
-/// Serializes `graph` + the source stamp into the `.csrbin` layout:
-/// magic, stamp, `n`, adjacency length, offsets, neighbors, and a
-/// trailing FNV checksum over everything before it.
-fn encode_bin(graph: &Graph, stamp: &SourceStamp) -> Vec<u8> {
-    let offsets = graph.offsets();
-    let neighbors = graph.neighbor_data();
-    let mut buf = Vec::with_capacity(8 + 6 * 8 + 4 * (offsets.len() + neighbors.len()) + 8);
-    buf.extend_from_slice(CSR_MAGIC);
-    push_u64(&mut buf, stamp.digest);
-    push_u64(&mut buf, stamp.len);
-    push_u64(&mut buf, stamp.mtime_s);
-    push_u64(&mut buf, u64::from(stamp.mtime_ns));
-    push_u64(&mut buf, graph.n() as u64);
-    push_u64(&mut buf, neighbors.len() as u64);
-    for &o in offsets {
-        buf.extend_from_slice(&o.to_le_bytes());
-    }
-    for &v in neighbors {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    let checksum = fnv1a64_words(&buf);
-    push_u64(&mut buf, checksum);
-    buf
-}
-
-/// Decodes a `.csrbin` buffer. Returns the stored stamp and graph, or
-/// `None` on any mismatch (bad magic, torn length, checksum, CSR
-/// invariants) — every failure mode degrades to a cold parse.
-fn decode_bin(buf: &[u8]) -> Option<(SourceStamp, Graph)> {
-    let header = 8 + 6 * 8;
-    if buf.len() < header + 8 || &buf[..8] != CSR_MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 8];
-    if fnv1a64_words(body) != read_u64(buf, buf.len() - 8) {
-        return None;
-    }
-    let stamp = SourceStamp {
-        digest: read_u64(buf, 8),
-        len: read_u64(buf, 16),
-        mtime_s: read_u64(buf, 24),
-        mtime_ns: u32::try_from(read_u64(buf, 32)).ok()?,
-    };
-    let n = usize::try_from(read_u64(buf, 40)).ok()?;
-    let nbr_len = usize::try_from(read_u64(buf, 48)).ok()?;
-    let arrays = &body[header..];
-    if arrays.len() != 4 * (n + 1 + nbr_len) {
-        return None;
-    }
-    let decode = |bytes: &[u8]| -> Vec<u32> {
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect()
-    };
-    let offsets = decode(&arrays[..4 * (n + 1)]);
-    let neighbors = decode(&arrays[4 * (n + 1)..]);
-    // The checksum above just proved these arrays are byte-exact copies
-    // of a graph that passed full validation when the entry was written,
-    // so the trusted constructor (shape checks only) suffices — the full
-    // O(n + m) re-check would dominate million-edge warm loads.
-    let graph = Graph::from_csr_parts_trusted(n, offsets, neighbors).ok()?;
-    Some((stamp, graph))
-}
-
-/// Loads a dataset graph through the binary CSR cache at `cache_dir`.
-///
-/// Warm path: the cache entry's source stamp matches the file (size +
-/// mtime, falling back to a content-digest comparison when only the
-/// mtime moved) — the CSR arrays load directly, skipping text parsing
-/// and [`Graph::from_edges`]. Cold path: the file is parsed
-/// ([`detect_format`] picks the parser), and the cache entry is
-/// (re)written atomically. Cache I/O failures degrade to cold parses;
-/// only *source* errors surface.
+/// Loads a dataset graph: reads `path`, picks the parser with
+/// [`detect_format`], and builds the CSR [`Graph`].
 ///
 /// # Errors
 ///
-/// [`DatasetError`] if the source file is unreadable or malformed.
-pub fn load_graph_cached(path: &Path, cache_dir: &Path) -> Result<LoadedDataset, DatasetError> {
-    let (meta, mtime_s, mtime_ns) = SourceStamp::stat(path)?;
-    let entry = cache_entry_path(cache_dir, path);
-    let mut src_digest: Option<u64> = None;
-    if let Ok(buf) = std::fs::read(&entry) {
-        if let Some((stamp, graph)) = decode_bin(&buf) {
-            let fast =
-                stamp.len == meta.len() && stamp.mtime_s == mtime_s && stamp.mtime_ns == mtime_ns;
-            let fresh = fast || {
-                let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-                let d = fnv1a64(&bytes);
-                src_digest = Some(d);
-                stamp.len == meta.len() && stamp.digest == d
-            };
-            if fresh {
-                return Ok(LoadedDataset {
-                    graph,
-                    from_cache: true,
-                });
-            }
-        }
-    }
-    // Cold: parse the text and refresh the entry.
-    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    let digest = src_digest.unwrap_or_else(|| fnv1a64(&bytes));
-    let text = String::from_utf8(bytes).map_err(|e| io_err(path, e))?;
-    let parsed = parse_str(&text, detect_format(path, &text))?;
-    let graph = parsed.to_graph()?;
-    let stamp = SourceStamp {
-        digest,
-        len: meta.len(),
-        mtime_s,
-        mtime_ns,
-    };
-    let encoded = encode_bin(&graph, &stamp);
-    // Best-effort write: tmp + rename so concurrent loaders never see a
-    // torn entry; a read-only cache dir just means every load is cold.
-    if std::fs::create_dir_all(cache_dir).is_ok() {
-        let tmp = entry.with_extension(format!("tmp{}", std::process::id()));
-        if std::fs::write(&tmp, &encoded).is_ok() {
-            let _ = std::fs::rename(&tmp, &entry);
-        }
-    }
-    Ok(LoadedDataset {
-        graph,
-        from_cache: false,
-    })
+/// [`DatasetError`] if the file is unreadable or malformed.
+pub fn load_graph(path: &Path) -> Result<Graph, DatasetError> {
+    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
+    parse_str(&text, detect_format(path, &text))?.to_graph()
 }
 
-/// [`load_graph_cached`] at the default cache dir ([`dataset_cache_dir`]).
-///
-/// # Errors
-///
-/// [`DatasetError`] if the source file is unreadable or malformed.
-pub fn load_graph(path: &Path) -> Result<LoadedDataset, DatasetError> {
-    load_graph_cached(path, &dataset_cache_dir())
-}
-
-/// Loads a coordinate file ([`parse_coords_str`]; no binary cache —
-/// coordinate parsing is linear and allocation-light).
+/// Loads a coordinate file ([`parse_coords_str`]).
 ///
 /// # Errors
 ///
@@ -1143,20 +890,29 @@ pub fn subsample_coords(pts: &[(f64, f64)], n: usize, seed: u64) -> Vec<(f64, f6
 // The vendored-sample family backends
 // ---------------------------------------------------------------------------
 
-/// Loads a vendored sample graph (binary-cached), panicking with a
-/// pointed message when the dataset dir is missing — the families API is
-/// infallible by contract, and the vendored files ship with the repo.
-fn sample_graph(file: &str) -> Graph {
-    let path = sample_path(file);
-    load_graph(&path)
-        .unwrap_or_else(|e| {
+/// Loads a vendored sample graph, panicking with a pointed message when
+/// the dataset dir is missing — the families API is infallible by
+/// contract, and the vendored files ship with the repo.
+///
+/// Each sample is parsed once per process and shared from then on,
+/// memoized under its resolved path ([`sample_path`], so `--dataset-dir`
+/// still applies). A sample edited while a process runs is not re-read by
+/// that process; the next process sees the edit. The bench cell cache
+/// likewise digests dataset files when a run opens it, not per cell.
+fn sample_graph(file: &str) -> Arc<Graph> {
+    static PARSED: Mutex<BTreeMap<PathBuf, Arc<Graph>>> = Mutex::new(BTreeMap::new());
+    // A load that panics has inserted nothing, so a poisoned map is whole.
+    let mut parsed = PARSED.lock().unwrap_or_else(PoisonError::into_inner);
+    let graph = parsed.entry(sample_path(file)).or_insert_with_key(|path| {
+        Arc::new(load_graph(path).unwrap_or_else(|e| {
             panic!(
                 "cannot load vendored dataset {} (set EBC_DATASET_DIR or run \
                  from the repo): {e}",
                 path.display()
             )
-        })
-        .graph
+        }))
+    });
+    Arc::clone(graph)
 }
 
 /// The vertex of maximum degree (lowest id on ties) — the natural hub to
@@ -1170,13 +926,15 @@ fn hub(graph: &Graph) -> usize {
 /// An n-vertex BFS ball of one sample graph, rooted at its hub; the
 /// sample is tiled up first when `n` exceeds it ([`tile_graph`]).
 fn ball_instance(file: &str, n: usize) -> Graph {
-    let g = sample_graph(file);
-    let g = if n > g.n() {
-        tile_graph(&g, n.div_ceil(g.n()))
+    let sample = sample_graph(file);
+    let tiled;
+    let g = if n > sample.n() {
+        tiled = tile_graph(&sample, n.div_ceil(sample.n()));
+        &tiled
     } else {
-        g
+        &*sample
     };
-    bfs_ball(&g, hub(&g), n)
+    bfs_ball(g, hub(g), n)
 }
 
 /// `ds-social`: an n-vertex BFS ball around the social sample's highest-
@@ -1243,13 +1001,6 @@ mod tests {
     const EDGE_LIST: &str = "# tiny\n0 1\n1 2\n2 3\n3 0\n";
     const SNAP: &str = "# Directed graph: web-tiny.txt\n# Nodes: 4 Edges: 5\n10\t20\n20\t30\n30\t40\n40\t10\n10\t10\n20\t10\n";
     const DIMACS: &str = "c a square\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n";
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ebc_datasets_{tag}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     #[test]
     fn the_three_formats_agree_on_the_square() {
@@ -1375,57 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_cache_round_trips_and_detects_edits() {
-        let dir = tmp_dir("cache");
-        let src = dir.join("square.edges");
-        let cache = dir.join("csr");
-        std::fs::write(&src, EDGE_LIST).unwrap();
-
-        let cold = load_graph_cached(&src, &cache).unwrap();
-        assert!(!cold.from_cache, "first load must be a cold parse");
-        let warm = load_graph_cached(&src, &cache).unwrap();
-        assert!(warm.from_cache, "second load must hit the binary cache");
-        assert_eq!(cold.graph, warm.graph, "cache round trip must be exact");
-
-        // Editing the dataset invalidates: the next load re-parses and
-        // sees the new edge.
-        std::fs::write(&src, format!("{EDGE_LIST}1 3\n")).unwrap();
-        let edited = load_graph_cached(&src, &cache).unwrap();
-        assert!(!edited.from_cache, "edited dataset must reload cold");
-        assert_eq!(edited.graph.m(), cold.graph.m() + 1);
-        // …and the refreshed entry is warm again.
-        assert!(load_graph_cached(&src, &cache).unwrap().from_cache);
-    }
-
-    #[test]
-    fn corrupt_cache_entries_degrade_to_cold_parses() {
-        let dir = tmp_dir("corrupt");
-        let src = dir.join("square.edges");
-        let cache = dir.join("csr");
-        std::fs::write(&src, EDGE_LIST).unwrap();
-        let cold = load_graph_cached(&src, &cache).unwrap();
-
-        // Flip one byte in the stored arrays: the checksum must catch it.
-        let entry = std::fs::read_dir(&cache)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        let mut bytes = std::fs::read(&entry).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&entry, &bytes).unwrap();
-        let reloaded = load_graph_cached(&src, &cache).unwrap();
-        assert!(!reloaded.from_cache, "corrupt entry must not serve");
-        assert_eq!(reloaded.graph, cold.graph);
-        // Truncation is also caught.
-        let bytes = std::fs::read(&entry).unwrap();
-        std::fs::write(&entry, &bytes[..bytes.len() / 3]).unwrap();
-        assert!(!load_graph_cached(&src, &cache).unwrap().from_cache);
-    }
-
-    #[test]
     fn unit_disk_of_coords_is_geometric_and_connected() {
         // A 5x5 grid with spacing 1: radius 1.1 links the lattice.
         let pts: Vec<(f64, f64)> = (0..25).map(|i| ((i % 5) as f64, (i / 5) as f64)).collect();
@@ -1548,6 +1248,14 @@ mod tests {
     }
 
     #[test]
+    fn vendored_samples_parse_once_per_process() {
+        let first = sample_graph(SAMPLE_SOCIAL);
+        let second = sample_graph(SAMPLE_SOCIAL);
+        assert!(Arc::ptr_eq(&first, &second), "second call re-parsed");
+        assert_eq!(*first, load_graph(&sample_path(SAMPLE_SOCIAL)).unwrap());
+    }
+
+    #[test]
     fn family_files_cover_every_dataset_family_and_only_them() {
         for fam in [
             "ds-social",
@@ -1564,21 +1272,5 @@ mod tests {
         }
         assert!(family_files("cycle").is_empty());
         assert!(family_files("nope").is_empty());
-    }
-
-    #[test]
-    fn file_digest_moves_with_content() {
-        let dir = tmp_dir("digest");
-        let p = dir.join("d.txt");
-        std::fs::write(&p, "alpha").unwrap();
-        let a = file_digest(&p).unwrap();
-        assert_eq!(a.len(), 16);
-        assert_eq!(a, file_digest(&p).unwrap());
-        std::fs::write(&p, "beta").unwrap();
-        assert_ne!(a, file_digest(&p).unwrap());
-        assert!(matches!(
-            file_digest(&dir.join("missing")),
-            Err(DatasetError::Io { .. })
-        ));
     }
 }

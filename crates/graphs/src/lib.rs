@@ -2,10 +2,10 @@
 //!
 //! Every generator returns a *connected* [`Graph`] (the paper's model
 //! assumes connectivity). Deterministic families live in [`deterministic`],
-//! randomized ones in [`random`], real-graph ingestion (dataset parsers,
-//! the binary CSR cache, and topologies derived from observed data) in
-//! [`datasets`], and [`families`] wraps them all into named, parameterized
-//! families with known diameters for the benchmark harness.
+//! randomized ones in [`random`], real-graph ingestion (dataset parsers
+//! and topologies derived from observed data) in [`datasets`], and
+//! [`families`] wraps them all into named, parameterized families with
+//! known diameters for the benchmark harness.
 //!
 //! # Example
 //!

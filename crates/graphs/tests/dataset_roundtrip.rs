@@ -1,18 +1,18 @@
-//! Property test: `parse → CSR → binary cache → load` is bit-identical
-//! across every dataset format.
+//! Property test: `render → load_graph` is bit-identical across every
+//! dataset format.
 //!
 //! Each case generates one random connected graph, renders it as a plain
 //! edge list, a SNAP export (sparse ids, duplicate/reversed edges,
 //! self-loops — everything normalization must undo), and a DIMACS file,
 //! with randomized comment placement (including unicode comments) and
-//! randomized LF/CRLF line endings. All three must parse to the same
-//! [`Graph`], and for each the binary CSR cache must serve a second load
-//! warm with byte-for-byte identical CSR arrays.
+//! randomized LF/CRLF line endings. Each render is written to a file
+//! named with its format's extension and loaded back once; all three
+//! must yield the generating [`Graph`], CSR arrays and all.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ebc_graphs::datasets::{load_graph_cached, DatasetFormat};
+use ebc_graphs::datasets::{load_graph, DatasetFormat};
 use ebc_radio::Graph;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -137,24 +137,11 @@ fn render_dimacs(n: usize, edges: &[(usize, usize)], rng: &mut SmallRng) -> Stri
     join(lines, rng.gen_bool(0.5))
 }
 
-/// Parses `text` (written under `name` so extension-based detection picks
-/// the right parser), twice through the binary cache; returns the cold
-/// and warm graphs plus the warm load's cache bit.
-fn through_cache(dir: &std::path::Path, name: &str, text: &str) -> (Graph, Graph, bool) {
-    let src = dir.join(name);
-    let cache = dir.join("csr");
-    std::fs::write(&src, text).unwrap();
-    let cold = load_graph_cached(&src, &cache).unwrap();
-    assert!(!cold.from_cache);
-    let warm = load_graph_cached(&src, &cache).unwrap();
-    (cold.graph, warm.graph, warm.from_cache)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn parse_csr_cache_load_is_bit_identical_across_formats(
+    fn parse_csr_load_is_bit_identical_across_formats(
         n in 2usize..48,
         graph_seed in any::<u64>(),
         text_seed in any::<u64>(),
@@ -171,19 +158,10 @@ proptest! {
             ("g.gr", render_dimacs(n, &edges, &mut rng)),
         ];
         for (name, text) in renders {
-            let (cold, warm, from_cache) = through_cache(&dir, name, &text);
-            // Cold parse reproduces the generating graph exactly…
-            prop_assert_eq!(&cold, &expected, "{} cold", name);
-            // …and the warm load is served from the binary cache with
-            // byte-identical CSR arrays.
-            prop_assert!(from_cache, "{} second load must be warm", name);
-            prop_assert_eq!(warm.offsets(), expected.offsets(), "{} offsets", name);
-            prop_assert_eq!(
-                warm.neighbor_data(),
-                expected.neighbor_data(),
-                "{} neighbors",
-                name
-            );
+            // The extension picks the parser.
+            let src = dir.join(name);
+            std::fs::write(&src, text).unwrap();
+            prop_assert_eq!(&load_graph(&src).unwrap(), &expected, "{}", name);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -16,8 +16,6 @@ pub enum GraphError {
     SelfLoop(usize),
     /// The graph must have at least one vertex.
     Empty,
-    /// Raw CSR arrays violated a structural invariant ([`Graph::from_csr_parts`]).
-    InvalidCsr(&'static str),
 }
 
 impl core::fmt::Display for GraphError {
@@ -28,7 +26,6 @@ impl core::fmt::Display for GraphError {
             }
             GraphError::SelfLoop(v) => write!(f, "self-loop at vertex {v}"),
             GraphError::Empty => write!(f, "graph must have at least one vertex"),
-            GraphError::InvalidCsr(reason) => write!(f, "invalid CSR arrays: {reason}"),
         }
     }
 }
@@ -81,115 +78,6 @@ impl Graph {
             list.dedup();
             neighbors.extend_from_slice(list);
             offsets.push(neighbors.len() as u32);
-        }
-        Ok(Graph {
-            n,
-            offsets,
-            neighbors,
-        })
-    }
-
-    /// Rebuilds a graph from raw CSR arrays — the fast path for loaders
-    /// that already hold the exact `offsets`/`neighbors` layout
-    /// [`Graph::from_edges`] would produce (e.g. a binary on-disk cache).
-    ///
-    /// Every structural invariant the engines rely on is re-validated in
-    /// `O(n + m)`: `offsets` has length `n + 1`, starts at 0, is monotone,
-    /// and ends at `neighbors.len()`; every row is strictly ascending (so
-    /// sorted *and* duplicate-free), in range, and loop-free; and the total
-    /// adjacency length is even (an undirected graph stores each edge
-    /// twice). Symmetry itself is not rechecked — a corrupted input that
-    /// passes every check above but breaks symmetry is not representable
-    /// by `from_edges` callers and is the caller's integrity problem
-    /// (on-disk caches pair this with a content checksum).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidCsr`] naming the violated invariant,
-    /// or [`GraphError::Empty`] when `n == 0`.
-    pub fn from_csr_parts(
-        n: usize,
-        offsets: Vec<u32>,
-        neighbors: Vec<u32>,
-    ) -> Result<Self, GraphError> {
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
-        if offsets.len() != n + 1 {
-            return Err(GraphError::InvalidCsr("offsets length is not n + 1"));
-        }
-        if offsets[0] != 0 {
-            return Err(GraphError::InvalidCsr("offsets must start at 0"));
-        }
-        if offsets[n] as usize != neighbors.len() {
-            return Err(GraphError::InvalidCsr(
-                "offsets must end at neighbors.len()",
-            ));
-        }
-        if neighbors.len() % 2 != 0 {
-            return Err(GraphError::InvalidCsr("odd adjacency length"));
-        }
-        for v in 0..n {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            if lo > hi {
-                return Err(GraphError::InvalidCsr("offsets not monotone"));
-            }
-            let row = &neighbors[lo..hi];
-            for (i, &u) in row.iter().enumerate() {
-                if u as usize >= n {
-                    return Err(GraphError::InvalidCsr("neighbor id out of range"));
-                }
-                if u as usize == v {
-                    return Err(GraphError::InvalidCsr("self-loop in row"));
-                }
-                if i > 0 && row[i - 1] >= u {
-                    return Err(GraphError::InvalidCsr("row not strictly ascending"));
-                }
-            }
-        }
-        Ok(Graph {
-            n,
-            offsets,
-            neighbors,
-        })
-    }
-
-    /// [`Graph::from_csr_parts`] minus the `O(n + m)` per-row invariant
-    /// sweep: only the array *shapes* are checked (lengths, first/last
-    /// offset, even adjacency). For callers that can prove the arrays
-    /// are a byte-exact copy of a previously validated graph — e.g. a
-    /// binary cache entry whose checksum just verified — where the full
-    /// re-check would dominate the load. Still safe on bad input (every
-    /// query indexes with bounds checks), but a row-level violation the
-    /// shape checks cannot see yields panics or wrong neighbor sets
-    /// downstream instead of an error here; when in doubt, use
-    /// [`Graph::from_csr_parts`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidCsr`] on a shape mismatch, or
-    /// [`GraphError::Empty`] when `n == 0`.
-    pub fn from_csr_parts_trusted(
-        n: usize,
-        offsets: Vec<u32>,
-        neighbors: Vec<u32>,
-    ) -> Result<Self, GraphError> {
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
-        if offsets.len() != n + 1 {
-            return Err(GraphError::InvalidCsr("offsets length is not n + 1"));
-        }
-        if offsets[0] != 0 {
-            return Err(GraphError::InvalidCsr("offsets must start at 0"));
-        }
-        if offsets[n] as usize != neighbors.len() {
-            return Err(GraphError::InvalidCsr(
-                "offsets must end at neighbors.len()",
-            ));
-        }
-        if neighbors.len() % 2 != 0 {
-            return Err(GraphError::InvalidCsr("odd adjacency length"));
         }
         Ok(Graph {
             n,
@@ -418,58 +306,6 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
-    }
-
-    #[test]
-    fn from_csr_parts_round_trips_from_edges() {
-        let g = Graph::from_edges(6, &[(0, 1), (0, 3), (2, 4), (1, 3), (4, 5)]).unwrap();
-        let rebuilt =
-            Graph::from_csr_parts(g.n(), g.offsets().to_vec(), g.neighbor_data().to_vec()).unwrap();
-        assert_eq!(g, rebuilt);
-    }
-
-    #[test]
-    fn from_csr_parts_rejects_broken_invariants() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let (offs, nbrs) = (g.offsets().to_vec(), g.neighbor_data().to_vec());
-        assert_eq!(
-            Graph::from_csr_parts(0, vec![0], vec![]),
-            Err(GraphError::Empty)
-        );
-        // Truncated offsets.
-        assert!(matches!(
-            Graph::from_csr_parts(4, offs[..4].to_vec(), nbrs.clone()),
-            Err(GraphError::InvalidCsr(_))
-        ));
-        // Offsets not ending at the adjacency length.
-        let mut short = nbrs.clone();
-        short.pop();
-        assert!(matches!(
-            Graph::from_csr_parts(4, offs.clone(), short),
-            Err(GraphError::InvalidCsr(_))
-        ));
-        // Out-of-range neighbor id.
-        let mut oor = nbrs.clone();
-        oor[0] = 9;
-        assert!(matches!(
-            Graph::from_csr_parts(4, offs.clone(), oor),
-            Err(GraphError::InvalidCsr(_))
-        ));
-        // A self-loop in a row.
-        let mut looped = nbrs.clone();
-        looped[0] = 0;
-        assert!(matches!(
-            Graph::from_csr_parts(4, offs.clone(), looped),
-            Err(GraphError::InvalidCsr(_))
-        ));
-        // An unsorted (here: duplicated) row.
-        let dup = Graph::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
-        let mut bad = dup.neighbor_data().to_vec();
-        bad[1] = bad[0];
-        assert!(matches!(
-            Graph::from_csr_parts(3, dup.offsets().to_vec(), bad),
-            Err(GraphError::InvalidCsr(_))
-        ));
     }
 
     #[test]
