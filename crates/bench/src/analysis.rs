@@ -170,9 +170,8 @@ pub struct MetricFit {
     /// The growth class.
     pub class: GrowthClass,
     /// Seed-level bootstrap percentile CI on the power-law exponent
-    /// ([`stats::CI_LEVEL`] two-sided, over the run's resample count —
-    /// [`stats::DEFAULT_RESAMPLES`] unless `--resamples` overrode it;
-    /// `None` when the point fit itself is unavailable).
+    /// ([`stats::CI_LEVEL`] two-sided, over [`stats::DEFAULT_RESAMPLES`]
+    /// resamples; `None` when the point fit itself is unavailable).
     pub exponent_ci: Option<(f64, f64)>,
     /// Fraction of bootstrap refits whose growth class matched [`class`]
     /// (`None` when no resample refit successfully).

@@ -79,8 +79,6 @@ Options:
                          (e.g. theorem11, bgi_decay, path_theorem21)
   --fault <NAME>         Scenario matrix: only this fault plan
                          (none, slot-loss, crash, jammer)
-  --resamples <N>        Bootstrap resamples per fitted statistic and
-                         report CI (default 200)
   --budget-ms <N>        Scenario matrix: wall-clock budget per (algorithm,
                          family, model) cell before its n-sweep truncates
                          (0 = first size only; default 250 quick / 2000 full)
@@ -144,13 +142,6 @@ fn parse_args() -> Result<Args, String> {
             "--model" => args.config.model = Some(value("--model")?),
             "--algo" => args.config.algo = Some(value("--algo")?),
             "--fault" => args.config.fault = Some(value("--fault")?),
-            "--resamples" => {
-                let v = value("--resamples")?;
-                args.config.resamples = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("invalid --resamples {v:?}"))?,
-                );
-            }
             "--budget-ms" => {
                 let v = value("--budget-ms")?;
                 args.config.budget_ms = Some(

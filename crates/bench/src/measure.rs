@@ -40,9 +40,6 @@ pub struct RunConfig {
     /// ([`RunConfig::cell_budget`]). `Some(0)` truncates every cell after
     /// its first size — the deterministic floor.
     pub budget_ms: Option<u64>,
-    /// Bootstrap resamples per fitted statistic and report CI; `None`
-    /// uses [`crate::stats::DEFAULT_RESAMPLES`].
-    pub resamples: Option<usize>,
     /// Where the content-addressed cell cache lives; `None` disables
     /// caching entirely (every cell recomputes). The CLI defaults this to
     /// `.ebc-cache` unless `--no-cache` is given; library callers and
@@ -114,14 +111,6 @@ impl RunConfig {
             DEFAULT_FULL_BUDGET_MS
         });
         std::time::Duration::from_millis(ms)
-    }
-
-    /// The bootstrap resample count every CI in this run draws
-    /// ([`crate::stats::DEFAULT_RESAMPLES`] unless `--resamples` pinned
-    /// it). More resamples narrow the Monte-Carlo error of the interval
-    /// endpoints at proportional cost; fewer speed up smoke runs.
-    pub fn resamples(&self) -> usize {
-        self.resamples.unwrap_or(crate::stats::DEFAULT_RESAMPLES)
     }
 
     /// The per-cell budget for the *headline* cells — the flagship
@@ -533,21 +522,6 @@ impl CaseRunner {
             stats: CacheStats::default(),
             profile: RunnerProfile::default(),
         }
-    }
-
-    /// A runner over a pre-opened store (tests plant their own digests).
-    pub fn with_cache(experiment: &'static str, cache: CellCache) -> CaseRunner {
-        CaseRunner {
-            experiment,
-            cache: Some(cache),
-            stats: CacheStats::default(),
-            profile: RunnerProfile::default(),
-        }
-    }
-
-    /// Whether a store is attached.
-    pub fn caching(&self) -> bool {
-        self.cache.is_some()
     }
 
     /// Records input-construction time (graph builds, dataset loads) to be

@@ -5,7 +5,7 @@
 //! Each metric gets two columns: its per-seed `mean ±std_dev`, and the
 //! width of the bootstrap 95% CI on that mean (`ci95w`, blank for
 //! single-seed cases) — a direct read on how much of a cell's value is
-//! seed noise. The resample count follows the run's `--resamples` knob.
+//! seed noise. Every CI draws [`stats::DEFAULT_RESAMPLES`] resamples.
 
 use crate::experiments::ExperimentResult;
 use crate::json::Json;
@@ -36,7 +36,6 @@ pub fn render(result: &ExperimentResult) -> String {
         }
     }
 
-    let resamples = result.config.resamples();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let header: Vec<String> = param_keys
         .iter()
@@ -76,7 +75,7 @@ pub fn render(result: &ExperimentResult) -> String {
             let values = case.metric_values(key);
             let ci = if values.len() >= 2 {
                 let seed = stats::seed_from_parts(&[result.spec.name, &identity, key]);
-                stats::bootstrap_ci(&values, resamples, seed, |xs| {
+                stats::bootstrap_ci(&values, stats::DEFAULT_RESAMPLES, seed, |xs| {
                     xs.iter().sum::<f64>() / xs.len() as f64
                 })
             } else {
@@ -287,7 +286,7 @@ mod tests {
             })
             .expect("some case varies across seeds");
         let values = case.metric_values("time");
-        let ci = stats::bootstrap_ci(&values, result.config.resamples(), 7, |xs| {
+        let ci = stats::bootstrap_ci(&values, stats::DEFAULT_RESAMPLES, 7, |xs| {
             xs.iter().sum::<f64>() / xs.len() as f64
         });
         assert!(ci.is_some(), "varying case yielded no CI");

@@ -62,12 +62,13 @@ use std::time::{Duration, Instant};
 
 use ebc_core::suite::{BroadcastAlgorithm, ALGORITHMS, MESSAGING_MODELS};
 use ebc_graphs::families::Family;
-use ebc_radio::{FaultPlan, Graph, JammerStrategy, Model, Sim};
+use ebc_radio::{FaultPlan, Graph, Model, Sim};
 
 use crate::analysis;
 use crate::experiments::{model_name, ExperimentOutput};
 use crate::json::Json;
 use crate::measure::{standard_metrics, Case, CaseRunner, RunConfig};
+use crate::stats;
 
 /// The matrix sizes: four n-points in quick (CI smoke) mode — the minimum
 /// for a meaningful scaling fit — five in full mode. Cells whose per-size
@@ -88,10 +89,8 @@ fn matrix_sizes(config: &RunConfig) -> &'static [usize] {
 const HEADLINE_EXTRA_SIZES: &[usize] = &[4096, 65536, 1048575];
 
 /// The fault axis, in presentation order: the clean baseline plus one
-/// representative of each implemented fault mode that degrades whole
-/// transmissions (edge loss and churn are exercised by the radio crate's
-/// own suites; the matrix keeps the axis small enough to cross with the
-/// full registry).
+/// plan of each fault kind [`FaultPlan`] implements — a lossy channel,
+/// crash faults, and a periodic jammer.
 pub const MATRIX_FAULTS: &[&str] = &["none", "slot-loss", "crash", "jammer"];
 
 /// The [`FaultPlan`] one fault-axis value denotes at size `n`.
@@ -118,7 +117,7 @@ pub fn matrix_fault_plan(kind: &str, n: usize) -> FaultPlan {
         // every eighth observed slot is jammed until 16n jams are spent.
         "jammer" => FaultPlan::Jammer {
             budget: 16 * n as u64,
-            strategy: JammerStrategy::Periodic { period: 8 },
+            period: 8,
         },
         other => unreachable!("unknown fault axis value {other:?}"),
     }
@@ -247,7 +246,7 @@ pub fn run_scenario_matrix(config: &RunConfig, runner: &mut CaseRunner) -> Exper
     // faulted cases itself, so the fits section is invariant under the
     // fault axis (and under `--fault` filters that exclude "none").
     let t_fit = Instant::now();
-    let fits = analysis::scaling_fits(&cases, config.resamples());
+    let fits = analysis::scaling_fits(&cases, stats::DEFAULT_RESAMPLES);
     runner.note_analysis(t_fit.elapsed());
     let count = |kind: &str| -> usize {
         skips
@@ -419,7 +418,7 @@ fn run_cell(
                 let out = alg.run(&mut sim, 0);
                 let mut metrics = vec![
                     ("all_informed", f64::from(u8::from(out.all_informed()))),
-                    ("informed_frac", out.count() as f64 / sim.graph().n() as f64),
+                    ("informed_frac", out.informed_fraction()),
                 ];
                 metrics.extend(standard_metrics(&sim.meter().report()));
                 metrics
@@ -442,7 +441,7 @@ fn run_cell(
                 let report = sim.meter().report();
                 let mut metrics = vec![
                     ("success_rate", f64::from(u8::from(success))),
-                    ("informed_frac", out.count() as f64 / sim.graph().n() as f64),
+                    ("informed_frac", out.informed_fraction()),
                     (
                         "energy_overhead_vs_clean",
                         report.total as f64 / clean_total as f64,

@@ -273,7 +273,7 @@ pub fn broadcast_with_labeling(
     // active fault plan a degraded labeling is an expected outcome (the
     // casts below stay bounded either way — they just inform fewer
     // vertices).
-    debug_assert!(sim.fault_plan().is_active() || labeling.is_good(sim.graph()));
+    debug_assert!(sim.fault_state().is_some() || labeling.is_good(sim.graph()));
     let n = labeling.n();
     let caster = PayloadCaster {
         layers: Layers::build(labeling, layer_bound),

@@ -382,7 +382,7 @@ pub fn broadcast_theorem20(
         // plan merge elections can misfire and leave a degraded (but
         // bounded) state.
         debug_assert!(
-            sim.fault_plan().is_active() || st.is_valid(sim.graph()),
+            sim.fault_state().is_some() || st.is_valid(sim.graph()),
             "invalid state at iter {iter}"
         );
     }

@@ -366,7 +366,7 @@ pub fn broadcast_det_cd(sim: &mut Sim, source: NodeId, cfg: &DetCdConfig) -> Bro
         // plan merges can misfire and leave a degraded (but bounded)
         // state.
         debug_assert!(
-            sim.fault_plan().is_active() || st.is_valid(sim.graph()),
+            sim.fault_state().is_some() || st.is_valid(sim.graph()),
             "invalid state after merge"
         );
     }

@@ -49,9 +49,7 @@ pub mod srcomm;
 pub mod suite;
 pub mod util;
 
-pub use ebc_radio::{
-    Action, EnergyMeter, FaultPlan, Feedback, Graph, JammerStrategy, Model, NodeId, Sim, Slot,
-};
+pub use ebc_radio::{Action, EnergyMeter, FaultPlan, Feedback, Graph, Model, NodeId, Sim, Slot};
 
 /// The outcome of a broadcast run: which vertices ended up informed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -69,7 +69,7 @@ mod sim;
 pub mod telemetry;
 
 pub use energy::{EnergyMeter, EnergyReport};
-pub use fault::{FaultPlan, FaultState, JammerStrategy, SlotVerdict};
+pub use fault::{FaultPlan, FaultState, SlotVerdict};
 pub use graph::{Graph, GraphError};
 pub use model::{resolve, Action, Feedback, Model};
 pub use sim::{from_fns, Schedule, Sim, SlotBehavior, SparseSchedule};

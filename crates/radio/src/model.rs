@@ -159,22 +159,20 @@ pub fn resolve<M: Clone>(model: Model, senders: impl Iterator<Item = (NodeId, M)
 
 /// Resolves one listener's feedback by scanning its CSR neighbor row.
 ///
-/// `row` is the listener's sorted neighbor row; `hears(u)` is the slot's
-/// test for whether the listener hears neighbor `u` transmit (the caller's
-/// `sending[u] != 0`, with any per-edge fault filter folded in);
-/// `sending[u]` is the 1-based index of `u` in `senders`. The 0/1/many
-/// count maps to model feedback exactly as [`resolve`] does, but the scan
-/// early-exits per model: CD\* and Beep stop at the first heard neighbor
-/// (sorted rows make it the lowest-id sender), No-CD and CD at the second,
-/// and only LOCAL walks the full row to collect every message. Messages
-/// are cloned only on actual delivery.
+/// `row` is the listener's sorted neighbor row; `sending[u]` is the
+/// 1-based index of `u` in `senders`, or 0 when `u` does not transmit this
+/// slot. The 0/1/many count maps to model feedback exactly as [`resolve`]
+/// does, but the scan early-exits per model: CD\* and Beep stop at the
+/// first transmitting neighbor (sorted rows make it the lowest-id
+/// sender), No-CD and CD at the second, and only LOCAL walks the full row
+/// to collect every message. Messages are cloned only on actual delivery.
 pub(crate) fn resolve_row<M: Clone>(
     model: Model,
     row: &[u32],
-    hears: impl Fn(u32) -> bool,
     sending: &[u32],
     senders: &[(NodeId, M)],
 ) -> Feedback<M> {
+    let hears = |u: u32| sending[u as usize] != 0;
     let msg = |u: u32| senders[sending[u as usize] as usize - 1].1.clone();
     match model {
         Model::Local => {
@@ -313,8 +311,7 @@ mod tests {
     #[test]
     fn resolve_row_agrees_with_iterator_resolve() {
         // Every subset of a 4-neighbor row, under every model, must match
-        // the iterator-based resolver exactly — also with a hearing
-        // filter that drops neighbor 4's deliveries.
+        // the iterator-based resolver exactly.
         let row: Vec<u32> = vec![1, 2, 4, 7];
         for mask in 0u32..16 {
             let mut sending = vec![0u32; 8];
@@ -327,14 +324,10 @@ mod tests {
             for (i, &(v, _)) in senders.iter().enumerate() {
                 sending[v] = i as u32 + 1;
             }
-            let tx = |u: u32| sending[u as usize] != 0;
             for model in Model::ALL {
-                let via_row = resolve_row(model, &row, tx, &sending, &senders);
+                let via_row = resolve_row(model, &row, &sending, &senders);
                 let via_iter = resolve(model, senders.iter().cloned());
                 assert_eq!(via_row, via_iter, "{model} mask {mask}");
-                let via_row = resolve_row(model, &row, |u| tx(u) && u != 4, &sending, &senders);
-                let via_iter = resolve(model, senders.iter().filter(|s| s.0 != 4).cloned());
-                assert_eq!(via_row, via_iter, "{model} mask {mask}, 4 filtered");
             }
         }
     }

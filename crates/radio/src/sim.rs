@@ -353,10 +353,9 @@ impl Sim {
     }
 
     /// A fresh simulation with a [`FaultPlan`] applied at the slot
-    /// pipeline's choke point: crashed/churned devices are masked out of
-    /// every slot (no polls, no energy), lost slots drop all
-    /// transmissions, jammed slots reach every listener as channel
-    /// garbage, and edge loss filters individual deliveries.
+    /// pipeline's choke point: crashed devices are masked out of every
+    /// slot (no polls, no energy), lost slots drop all transmissions, and
+    /// jammed slots reach every listener as channel garbage.
     ///
     /// The fault layer's randomness is a pure hash of a key derived from
     /// `seed` under the dedicated [`FAULT_STREAM`], so it never perturbs
@@ -366,7 +365,7 @@ impl Sim {
     /// # Panics
     ///
     /// Panics if the plan is malformed (probability outside `[0, 1]`,
-    /// zero jammer period, or an event naming a device `>= n`).
+    /// zero jammer period, or a crash naming a device `>= n`).
     pub fn with_faults(
         graph: impl Into<Arc<Graph>>,
         model: Model,
@@ -374,7 +373,7 @@ impl Sim {
         plan: FaultPlan,
     ) -> Self {
         let mut sim = Sim::new(graph, model, seed);
-        if plan.is_active() {
+        if plan != FaultPlan::None {
             let key = crate::rng::derive_seed(seed, 0, FAULT_STREAM);
             let n = sim.graph.n();
             sim.faults = Some(FaultState::new(plan, key, n));
@@ -406,12 +405,6 @@ impl Sim {
     /// The current global slot.
     pub fn now(&self) -> Slot {
         self.clock
-    }
-
-    /// The fault plan in force ([`FaultPlan::None`] for a clean run).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        static NONE: FaultPlan = FaultPlan::None;
-        self.faults.as_ref().map_or(&NONE, |f| f.plan())
     }
 
     /// The realized fault state, if an active plan is in force — for
@@ -642,9 +635,9 @@ impl Sim {
             }
         }
         for &v in participants {
-            // Down devices (crashed or churned out) are masked before the
-            // poll: no action, no feedback, no energy, and their private
-            // random streams stay untouched until they rejoin.
+            // Crashed devices are masked before the poll: no action, no
+            // feedback, no energy, and their private random streams stay
+            // untouched.
             if let Some(f) = &self.faults {
                 if f.any_down() && f.is_down(v) {
                     continue;
@@ -686,7 +679,7 @@ impl Sim {
             // only spent on slots some listener actually hears, which
             // keeps budget consumption invariant across schedule shapes.
             if !listeners.is_empty() {
-                verdict = f.verdict(now, !senders.is_empty());
+                verdict = f.verdict(now);
             }
             if verdict != SlotVerdict::Clean {
                 // Senders already paid for the attempt — that charge is
@@ -710,20 +703,12 @@ impl Sim {
                 }
             }
         }
-        // Edge loss filters deliveries inside the row scan; every other
-        // plan resolves through the instance with no fault check at all.
-        let edge_faults = self.faults.as_ref().filter(|f| f.filters_edges());
         let sending = &self.sending;
         for &v in listeners.iter() {
-            let row = self.graph.neighbor_row(v);
             let fb = if verdict == SlotVerdict::Jammed {
                 jam_feedback(self.model)
-            } else if let Some(f) = edge_faults {
-                let hears = |u: u32| sending[u as usize] != 0 && f.edge_alive(now, v, u as usize);
-                resolve_row(self.model, row, hears, sending, senders)
             } else {
-                let hears = |u: u32| sending[u as usize] != 0;
-                resolve_row(self.model, row, hears, sending, senders)
+                resolve_row(self.model, self.graph.neighbor_row(v), sending, senders)
             };
             if let Some(tel) = &mut self.telemetry {
                 if verdict == SlotVerdict::Jammed {
@@ -751,7 +736,6 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::JammerStrategy;
 
     fn star(leaves: usize) -> Graph {
         // Vertex 0 is the hub.
@@ -1007,7 +991,7 @@ mod tests {
             3,
             FaultPlan::Jammer {
                 budget: 1,
-                strategy: JammerStrategy::Reactive,
+                period: 1,
             },
         );
         sim.enable_telemetry();
@@ -1635,9 +1619,7 @@ mod tests {
     fn none_plan_stores_no_fault_state() {
         let sim = Sim::with_faults(star(2), Model::Cd, 7, FaultPlan::None);
         assert!(sim.fault_state().is_none());
-        assert_eq!(sim.fault_plan(), &FaultPlan::None);
         let sim = Sim::with_faults(star(2), Model::Cd, 7, FaultPlan::SlotLoss { p: 0.5 });
-        assert_eq!(sim.fault_plan().name(), "slot-loss");
         assert!(sim.fault_state().is_some());
     }
 
@@ -1675,13 +1657,6 @@ mod tests {
         assert_eq!(sim.meter().report().lost_sends, 5);
         // The listener still paid to listen to silence.
         assert_eq!(sim.meter().listens(0), 5);
-    }
-
-    #[test]
-    fn certain_edge_loss_silences_deliveries_per_edge() {
-        let sim = Sim::with_faults(star(1), Model::Cd, 3, FaultPlan::EdgeLoss { p: 1.0 });
-        let heard = hub_feedback(sim, 1, 4);
-        assert_eq!(heard, vec![Feedback::Silence; 4]);
     }
 
     #[test]
@@ -1737,71 +1712,6 @@ mod tests {
     }
 
     #[test]
-    fn churned_device_misses_the_down_window_then_rejoins() {
-        let sim = Sim::with_faults(
-            star(1),
-            Model::Cd,
-            3,
-            FaultPlan::Churn {
-                leave: vec![(1, 1)],
-                join: vec![(3, 1)],
-            },
-        );
-        let heard = hub_feedback(sim, 1, 5);
-        assert_eq!(
-            heard,
-            vec![
-                Feedback::One(1),
-                Feedback::Silence,
-                Feedback::Silence,
-                Feedback::One(1),
-                Feedback::One(1),
-            ]
-        );
-    }
-
-    #[test]
-    fn reactive_jammer_spends_budget_only_on_observed_transmissions() {
-        let mut sim = Sim::with_faults(
-            star(1),
-            Model::Cd,
-            3,
-            FaultPlan::Jammer {
-                budget: 2,
-                strategy: JammerStrategy::Reactive,
-            },
-        );
-        let mut heard = Vec::new();
-        // The leaf transmits only in slots 2, 4, 6; the hub always listens.
-        let mut b = from_fns(
-            |v, t| {
-                if v == 0 {
-                    Action::Listen
-                } else if t % 2 == 0 && t > 0 {
-                    Action::Send(1u8)
-                } else {
-                    Action::Idle
-                }
-            },
-            |_, _, fb| heard.push(fb),
-        );
-        sim.drive(
-            Schedule::Dense {
-                participants: &[0, 1],
-                slots: 8,
-            },
-            &mut b,
-        );
-        drop(b);
-        // Budget 2 hits the first two transmissions; the third gets through.
-        assert_eq!(heard[2], Feedback::Noise);
-        assert_eq!(heard[4], Feedback::Noise);
-        assert_eq!(heard[6], Feedback::One(1));
-        assert_eq!(sim.fault_state().unwrap().jam_budget(), 0);
-        assert_eq!(sim.meter().total_lost_sends(), 2);
-    }
-
-    #[test]
     fn periodic_jammer_budget_is_schedule_shape_invariant() {
         // A jammer with period 1 (every observed slot) and budget 2 must
         // spend the same two units whether idle stretches are simulated
@@ -1813,7 +1723,7 @@ mod tests {
                 3,
                 FaultPlan::Jammer {
                     budget: 2,
-                    strategy: JammerStrategy::Periodic { period: 1 },
+                    period: 1,
                 },
             );
             let mut heard = Vec::new();

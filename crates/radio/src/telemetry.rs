@@ -65,7 +65,7 @@ pub enum EventKind {
     /// verdict (slot loss or jamming) — the per-slot view of
     /// `lost_sends`.
     Lost,
-    /// The node went down (crashed or churned out) at this slot.
+    /// The node crashed at this slot.
     Crashed,
 }
 
@@ -163,7 +163,7 @@ pub struct SlotCounters {
     pub lost: u32,
     /// Listeners that heard a jammed channel this slot.
     pub jammed: u32,
-    /// Devices currently down (crashed or churned out).
+    /// Devices currently down (crashed).
     pub down: u32,
 }
 

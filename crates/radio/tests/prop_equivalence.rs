@@ -8,32 +8,27 @@
 //! device in every slot and resolves each listener through the public
 //! [`resolve`] over [`Graph::neighbors`]. Any divergence in the row scan's
 //! early exits, CD\*'s lowest-id pick, LOCAL's ascending message order,
-//! the edge-loss filter, or the schedule drivers' clock/energy accounting
+//! the slot-loss drop, or the schedule drivers' clock/energy accounting
 //! fails here with the case seed.
 
 use ebc_radio::{
-    resolve, Action, FaultPlan, FaultState, Feedback, Graph, JammerStrategy, Model, NodeId,
-    Schedule, Sim, SlotBehavior, SparseSchedule,
+    resolve, Action, FaultPlan, FaultState, Feedback, Graph, Model, NodeId, Schedule, Sim,
+    SlotBehavior, SlotVerdict, SparseSchedule,
 };
 use proptest::prelude::*;
 
 /// Every fault plan at zero strength: the fault layer runs (draws its
-/// verdicts, applies its empty event lists) but must never perturb the
+/// verdicts, applies its empty crash list) but must never perturb the
 /// engine. [`FaultPlan::None`] additionally asserts the no-state fast
 /// path.
 fn zero_strength_plans() -> Vec<FaultPlan> {
     vec![
         FaultPlan::None,
         FaultPlan::SlotLoss { p: 0.0 },
-        FaultPlan::EdgeLoss { p: 0.0 },
         FaultPlan::Crash { schedule: vec![] },
         FaultPlan::Jammer {
-            budget: u64::MAX,
-            strategy: JammerStrategy::Random { p: 0.0 },
-        },
-        FaultPlan::Churn {
-            leave: vec![],
-            join: vec![],
+            budget: 0,
+            period: 1,
         },
     ]
 }
@@ -151,14 +146,16 @@ fn outcome(sim: &Sim, b: Scripted) -> Outcome {
 
 /// The independent oracle: a naive dense loop over every device and slot,
 /// resolving each listener with the public [`resolve`] over
-/// [`Graph::neighbors`]. With `edges`, a delivery survives only where the
-/// fault state's [`FaultState::edge_alive`] verdict keeps it.
+/// [`Graph::neighbors`]. With `faults` (a clone of a run's fault state),
+/// every slot in which some device listens asks the public
+/// [`FaultState::verdict`], and a [`SlotVerdict::Lost`] slot delivers
+/// nothing.
 fn naive(
     graph: &Graph,
     model: Model,
     script_seed: u64,
     slots: u64,
-    edges: Option<&FaultState>,
+    mut faults: Option<FaultState>,
 ) -> Outcome {
     let n = graph.n();
     let mut b = Scripted::new(script_seed, n, slots);
@@ -172,11 +169,15 @@ fn naive(
                 last_active = Some(t);
             }
         }
+        let lost = actions.iter().any(Action::listens)
+            && faults
+                .as_mut()
+                .is_some_and(|f| f.verdict(t) == SlotVerdict::Lost);
         for v in (0..n).filter(|&v| actions[v].listens()) {
-            let heard = graph.neighbors(v).filter_map(|u| {
-                let alive = edges.map_or(true, |f| f.edge_alive(t, v, u));
-                actions[u].message().filter(|_| alive).map(|&m| (u, m))
-            });
+            let heard = graph
+                .neighbors(v)
+                .filter(|_| !lost)
+                .filter_map(|u| actions[u].message().map(|&m| (u, m)));
             let fb = resolve(model, heard);
             b.feedback(v, t, fb);
         }
@@ -321,16 +322,17 @@ proptest! {
                 prop_assert_eq!(&got, &oracle, "faulted({}) vs oracle, {}", name, model);
             }
 
-            // Edge loss at p = 0.3 filters deliveries inside the row scan;
-            // the oracle drops the same ones through the public per-edge
-            // verdicts of the run's own fault state.
+            // Slot loss at p = 0.3 drops whole slots before the row scan;
+            // the oracle drops the same ones through the public verdicts
+            // of a clone of the run's own fault state.
             for shape in [Shape::Dense, Shape::Sparse, Shape::Dynamic] {
-                let plan = FaultPlan::EdgeLoss { p: 0.3 };
+                let plan = FaultPlan::SlotLoss { p: 0.3 };
                 let mut sim = Sim::with_faults(graph.clone(), model, 0, plan);
+                let faults = sim.fault_state().cloned();
+                prop_assert!(faults.is_some(), "an active plan stores its state");
                 let got = drive(&mut sim, shape, script_seed, slots);
-                let edges = sim.fault_state().expect("active plan");
-                let lossy = naive(&graph, model, script_seed, slots, Some(edges));
-                prop_assert_eq!(&got, &lossy, "edge-loss {:?} vs oracle, {}", shape, model);
+                let lossy = naive(&graph, model, script_seed, slots, faults);
+                prop_assert_eq!(&got, &lossy, "slot-loss {:?} vs oracle, {}", shape, model);
             }
         }
     }

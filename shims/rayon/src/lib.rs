@@ -1,7 +1,7 @@
 //! Vendored, dependency-free shim of the slice of the `rayon` API this
-//! workspace uses: `par_iter()` / `into_par_iter()` plus `map` → `collect`
-//! (and a few reductions), executed on `std::thread::scope` with one chunk
-//! per available core.
+//! workspace uses: `into_par_iter()` over a `u64` range, then `map` →
+//! `collect`, executed on `std::thread::scope` with one chunk per
+//! available core.
 //!
 //! The workspace must build with no network access to crates.io, so the
 //! root manifest patches `rayon` to this path. Unlike the real rayon there
@@ -67,7 +67,7 @@ where
 /// A realized parallel iterator: the items plus the (fused) mapping.
 ///
 /// The shim is *eager at collect*: combinators only record the closure,
-/// and [`ParIter::collect`] (or a reduction) runs the chunks.
+/// and [`ParIter::collect`] runs the chunks.
 pub struct ParIter<T, R, F>
 where
     F: Fn(T) -> R + Sync,
@@ -100,30 +100,6 @@ where
     pub fn collect<C: FromIterator<R>>(self) -> C {
         par_map_vec(self.items, &self.f).into_iter().collect()
     }
-
-    /// Executes the pipeline and sums the results.
-    pub fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<R>,
-    {
-        par_map_vec(self.items, &self.f).into_iter().sum()
-    }
-
-    /// Executes the pipeline for its effects, discarding results.
-    pub fn for_each(self) {
-        let _ = par_map_vec(self.items, &self.f);
-    }
-
-    /// Executes the pipeline and reduces pairwise starting from `identity`.
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> R
-    where
-        ID: Fn() -> R,
-        OP: Fn(R, R) -> R,
-    {
-        par_map_vec(self.items, &self.f)
-            .into_iter()
-            .fold(identity(), op)
-    }
 }
 
 /// Conversion into a parallel iterator over owned items.
@@ -137,71 +113,21 @@ pub trait IntoParallelIterator {
     fn into_par_iter(self) -> Self::Iter;
 }
 
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = ParIter<T, T, fn(T) -> T>;
+impl IntoParallelIterator for std::ops::Range<u64> {
+    type Item = u64;
+    type Iter = ParIter<u64, u64, fn(u64) -> u64>;
 
     fn into_par_iter(self) -> Self::Iter {
         ParIter {
-            items: self,
+            items: self.collect(),
             f: std::convert::identity,
         }
-    }
-}
-
-macro_rules! impl_range_into_par {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Item = $t;
-            type Iter = ParIter<$t, $t, fn($t) -> $t>;
-
-            fn into_par_iter(self) -> Self::Iter {
-                ParIter {
-                    items: self.collect(),
-                    f: std::convert::identity,
-                }
-            }
-        }
-    )*};
-}
-
-impl_range_into_par!(u32, u64, usize);
-
-/// Conversion into a parallel iterator over `&Item`.
-pub trait IntoParallelRefIterator<'a> {
-    /// The borrowed element type.
-    type Item: Send + 'a;
-    /// The concrete parallel iterator.
-    type Iter;
-
-    /// Returns a parallel iterator over borrowed items.
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    type Iter = ParIter<&'a T, &'a T, fn(&'a T) -> &'a T>;
-
-    fn par_iter(&'a self) -> Self::Iter {
-        ParIter {
-            items: self.iter().collect(),
-            f: std::convert::identity,
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = ParIter<&'a T, &'a T, fn(&'a T) -> &'a T>;
-
-    fn par_iter(&'a self) -> Self::Iter {
-        self.as_slice().par_iter()
     }
 }
 
 /// The customary glob-import module, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
+    pub use crate::IntoParallelIterator;
 }
 
 #[cfg(test)]
@@ -216,23 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_borrows() {
-        let v: Vec<String> = (0..64).map(|i| format!("s{i}")).collect();
-        let lens: Vec<usize> = v.par_iter().map(|s| s.len()).collect();
-        assert_eq!(lens.len(), 64);
-        assert_eq!(lens[0], 2);
-        assert_eq!(lens[10], 3);
-    }
-
-    #[test]
-    fn sum_matches_serial() {
-        let total: u64 = (1u64..=100).collect::<Vec<_>>().into_par_iter().sum();
-        assert_eq!(total, 5050);
-    }
-
-    #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u32> = Vec::<u32>::new().into_par_iter().map(|x| x + 1).collect();
+        let out: Vec<u64> = (0u64..0).into_par_iter().map(|x| x + 1).collect();
         assert!(out.is_empty());
     }
 }
