@@ -2,11 +2,12 @@
 //! the `code` dependency every cached cell records (see `src/cache.rs`).
 //!
 //! `EBC_SOURCE_DIGEST` covers the source closure (`src/source_closure.rs`:
-//! the root manifest and lockfile plus the manifest, build script and
-//! `src/` of every crate under `crates/` and `shims/`). `EBC_CODE_DIGEST`
-//! folds in the build profile and `rustc -V` on top. Cargo re-runs this
-//! script when any closure entry changes; a new crate joins the build only
-//! through a manifest edit, which re-runs it too.
+//! the root manifest and lockfile, the vendored dataset samples under
+//! `datasets/` that `ebc_graphs::datasets` compiles in, and the manifest,
+//! build script and `src/` of every crate under `crates/` and `shims/`).
+//! `EBC_CODE_DIGEST` folds in the build profile and `rustc -V` on top.
+//! Cargo re-runs this script when any closure entry changes; a new crate
+//! joins the build only through a manifest edit, which re-runs it too.
 
 use std::path::Path;
 use std::process::Command;

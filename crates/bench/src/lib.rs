@@ -12,9 +12,9 @@
 //! * [`cache`] — the content-addressed cell cache: on-disk results keyed
 //!   on `(cell-config hash, code digest)`, making `--check-against` /
 //!   `--update-baselines` incremental (warm cells skip execution). The
-//!   code digest covers everything the binary is built from and is
-//!   compiled in by `build.rs`; dataset-backed cells also key on their
-//!   dataset files' content.
+//!   code digest covers everything the binary is built from, the
+//!   compiled-in dataset samples included, and is compiled in by
+//!   `build.rs`.
 //! * [`experiments`] — the registry: one [`experiments::ExperimentSpec`]
 //!   per experiment, run via [`experiments::run_experiment`], producing an
 //!   [`experiments::ExperimentResult`].

@@ -26,18 +26,17 @@
 //!
 //! Every run drains through the on-disk cell cache (`--cache-dir`,
 //! default `.ebc-cache`): a cell stored under the same config by a binary
-//! built from the same sources (and, for dataset-backed cells, over the
-//! same dataset files) loads from disk instead of re-executing, so a warm
-//! `--check-against` run re-executes zero cells. `--no-cache` opts out,
-//! `--print-fingerprint` emits the code-version hash CI keys its cache
-//! restore on, and hit/miss/invalidation counts land in
-//! `BENCH_cache_stats.json`.
+//! built from the same sources (the vendored dataset samples included)
+//! loads from disk instead of re-executing, so a warm `--check-against`
+//! run re-executes zero cells. `--no-cache` opts out,
+//! `--print-fingerprint` emits the code digest CI keys its cache restore
+//! on, and hit/miss/invalidation counts land in `BENCH_cache_stats.json`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ebc_bench::baseline::{self, GateOutcome, Tolerances};
-use ebc_bench::cache::{CacheStats, SourceDigests};
+use ebc_bench::cache::{code_digest, CacheStats};
 use ebc_bench::json::Json;
 use ebc_bench::measure::{RunnerProfile, UNLIMITED_BUDGET_MS};
 use ebc_bench::{
@@ -94,17 +93,13 @@ Options:
   --update-baselines     Rewrite bench-baselines/ (one file per registered
                          experiment) from fresh quick runs, then exit
   --cache-dir <DIR>      On-disk cell cache: warm cells (same cell config,
-                         stored by a binary built from the same sources,
-                         over the same dataset files) are loaded instead
-                         of re-executed (default .ebc-cache)
+                         stored by a binary built from the same sources)
+                         are loaded instead of re-executed
+                         (default .ebc-cache)
   --no-cache             Disable the cell cache (every cell re-executes)
-  --print-fingerprint    Print the combined fingerprint of this binary's
-                         build-time code digest and the dataset files (the
-                         hash CI keys the cache restore on) and exit
+  --print-fingerprint    Print this binary's build-time code digest (the
+                         key CI restores the cache under) and exit
   --out-dir <DIR>        Directory for BENCH_<name>.json files (default .)
-  --dataset-dir <DIR>    Where the ds-* families load their dataset files
-                         from (default: the vendored datasets/ directory);
-                         cells are keyed on the files' content digests
   --threads <N>          Worker threads for seed sweeps (default: all cores)
   -h, --help             Show this help
 ";
@@ -158,12 +153,6 @@ fn parse_args() -> Result<Args, String> {
             "--no-cache" => args.no_cache = true,
             "--print-fingerprint" => args.print_fingerprint = true,
             "--out-dir" => args.out_dir = PathBuf::from(value("--out-dir")?),
-            "--dataset-dir" => {
-                // The graphs crate and the cache digests both resolve
-                // dataset files through this env var, so one flag moves
-                // the loaders and the staleness keys together.
-                std::env::set_var("EBC_DATASET_DIR", value("--dataset-dir")?);
-            }
             "--threads" => {
                 let v = value("--threads")?;
                 let n = v
@@ -191,10 +180,10 @@ fn gated_run(spec: &'static ExperimentSpec, config: &RunConfig) -> ebc_bench::Ex
     run_experiment(spec, &config)
 }
 
-/// Writes `BENCH_cache_stats.json`: the combined fingerprint, the code
-/// and dataset digests, and hit/miss/invalidation counts per experiment
-/// plus in total. CI parses this to assert a warm gate re-executes
-/// nothing and uploads it as an artifact.
+/// Writes `BENCH_cache_stats.json`: the code digest the cells were
+/// stored under, and hit/miss/invalidation counts per experiment plus in
+/// total. CI parses this to assert a warm gate re-executes nothing and
+/// uploads it as an artifact.
 fn write_cache_stats(
     out_dir: &std::path::Path,
     per_experiment: &[(&'static str, CacheStats)],
@@ -209,11 +198,9 @@ fn write_cache_stats(
                 .field("cache", stats.to_json()),
         );
     }
-    let digests = SourceDigests::compute();
     let doc = Json::obj()
-        .field("cache_stats_schema", 2u64)
-        .field("fingerprint", digests.combined())
-        .field("digests", digests.to_json())
+        .field("cache_stats_schema", 3u64)
+        .field("code", code_digest())
         .field("experiments", Json::Arr(rows))
         .field("total", total.to_json());
     let path = out_dir.join("BENCH_cache_stats.json");
@@ -279,7 +266,7 @@ fn main() -> ExitCode {
     };
 
     if args.print_fingerprint {
-        println!("{}", SourceDigests::compute().combined());
+        println!("{}", code_digest());
         return ExitCode::SUCCESS;
     }
 

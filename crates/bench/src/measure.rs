@@ -588,9 +588,8 @@ impl CaseRunner {
             return case;
         };
         let key = cache::case_key(self.experiment, &params, seeds);
-        let deps = cache::deps_for(&params);
         let t_cache = Instant::now();
-        let looked_up = cache.lookup(&key, &deps);
+        let looked_up = cache.lookup(&key);
         let mut cache_spent = t_cache.elapsed();
         match looked_up {
             Lookup::Hit(case) => {
@@ -611,7 +610,7 @@ impl CaseRunner {
         let case = Case::new(params, execute(seeds));
         let sim_spent = t_exec.elapsed();
         let t_store = Instant::now();
-        if let Err(err) = cache.store(&key, &deps, &case) {
+        if let Err(err) = cache.store(&key, &case) {
             eprintln!("warning: cell cache store failed: {err}");
         }
         cache_spent += t_store.elapsed();

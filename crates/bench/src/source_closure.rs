@@ -46,12 +46,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The top-level entries of the source closure under the workspace
-/// `root`: its `Cargo.toml` and `Cargo.lock`, then the `Cargo.toml`,
-/// `build.rs` and `src/` directory of every directory under `crates/` and
-/// `shims/` — found by walking, not from a crate list. Entries that do
-/// not exist are left out.
+/// `root`: its `Cargo.toml` and `Cargo.lock`, the `datasets/` directory
+/// (`ebc_graphs::datasets` compiles the samples in), then the
+/// `Cargo.toml`, `build.rs` and `src/` directory of every directory under
+/// `crates/` and `shims/` — found by walking, not from a crate list.
+/// Entries that do not exist are left out.
 pub fn entries(root: &Path) -> Vec<PathBuf> {
-    let mut entries = vec![root.join("Cargo.toml"), root.join("Cargo.lock")];
+    let mut entries = vec![
+        root.join("Cargo.toml"),
+        root.join("Cargo.lock"),
+        root.join("datasets"),
+    ];
     for group in ["crates", "shims"] {
         let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join(group))
             .into_iter()
@@ -138,6 +143,7 @@ mod tests {
         write(&root.join("crates/core/tests/t.rs"), "// test v1\n");
         write(&root.join("shims/rand/Cargo.toml"), "[package]\n");
         write(&root.join("shims/rand/src/lib.rs"), "// rotate_left(23)\n");
+        write(&root.join("datasets/sample.txt"), "0 1\n");
         let mut last = digest(&root);
         let mut moves = |path: &str, body: &str| {
             write(&root.join(path), body);
@@ -148,6 +154,7 @@ mod tests {
         };
         assert!(moves("shims/rand/src/lib.rs", "// rotate_left(24)\n"));
         assert!(moves("Cargo.lock", "version = 4\n"));
+        assert!(moves("datasets/sample.txt", "0 1\n1 2\n"));
         assert!(moves("crates/x/src/lib.rs", "// new crate\n"));
         assert!(!moves("crates/core/tests/t.rs", "// test v2\n"));
         assert!(!moves("crates/core/src/.lib.rs.swp", "swap"));

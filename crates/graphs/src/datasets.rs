@@ -1,34 +1,33 @@
-//! Real-graph ingestion: pluggable dataset parsers and radio topologies
-//! derived from parsed data.
+//! Real-graph ingestion: dataset parsers and radio topologies derived
+//! from parsed data.
 //!
 //! Every synthetic family in this crate draws its structure from a
 //! generator; this module instead ingests *observed* topologies — the
 //! irregular degree distributions and hub structure the paper's bounds are
 //! sensitive to — and derives radio networks from them:
 //!
-//! * **Parsers** ([`parse_str`], [`load_graph`]): plain edge lists, SNAP
-//!   exports (`#` comments, sparse ids remapped densely, self-loops and
-//!   duplicate edges normalized away), and DIMACS (`c` comments,
-//!   `p edge n m` header, 1-indexed `e u v` lines). Malformed input —
-//!   self-loops in strict formats, out-of-range ids, empty files — yields
-//!   a typed [`DatasetError`], never a panic. Comment lines may contain
-//!   arbitrary unicode; CRLF line endings are accepted everywhere.
+//! * **Parsers**: [`parse_snap`] for SNAP exports (`#` comments, sparse
+//!   ids remapped densely, self-loops and duplicate edges normalized
+//!   away), [`parse_dimacs`] for DIMACS (`c` comments, `p edge n m`
+//!   header, 1-indexed `e u v` lines), and [`parse_coords`] for
+//!   DIMACS-style `v id x y` coordinates. Malformed input — self-loops in
+//!   DIMACS, out-of-range ids, empty files — yields a typed
+//!   [`DatasetError`], never a panic. Comment lines may contain arbitrary
+//!   unicode; CRLF line endings are accepted everywhere.
 //! * **Derived topologies**: [`unit_disk_of_coords`] (transmission-range
 //!   graphs over real coordinate files, grid-bucketed so million-point
 //!   fields build in `O(n · deg)`), [`k_nearest`] sensor fields, and
 //!   [`chung_lu`] power-law samplers matched to an observed degree
 //!   sequence ([`resample_degrees`]) — each made connected by the same
 //!   random-spanning-tree surrogate the synthetic families use.
-//! * **The vendored samples** ([`SAMPLE_SOCIAL`], [`SAMPLE_ROADNET`],
-//!   [`SAMPLE_ROADNET_COORDS`]): two tiny offline datasets under
+//! * **The vendored samples**: three tiny offline datasets under
 //!   `datasets/` backing the `ds-*` members of
-//!   [`crate::families::Family`]; each sample graph is parsed once per
-//!   process. [`family_files`] maps each dataset family to the files
-//!   whose content digests its bench cells must be keyed on.
+//!   [`crate::families::Family`]. They are compiled into the binary with
+//!   `include_str!`, so a cell cache keyed on the binary's sources is
+//!   keyed on them too, and each is parsed the first time it is used.
 
-use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ebc_radio::rng::node_rng;
 use ebc_radio::{Graph, GraphError};
@@ -36,29 +35,12 @@ use rand::Rng;
 
 use crate::random;
 
-/// File name of the vendored SNAP-style social sample (power-law degrees).
-pub const SAMPLE_SOCIAL: &str = "sample-social.txt";
-/// File name of the vendored DIMACS road/sensor sample (near-planar).
-pub const SAMPLE_ROADNET: &str = "sample-roadnet.gr";
-/// File name of the vendored coordinate file paired with the road sample.
-pub const SAMPLE_ROADNET_COORDS: &str = "sample-roadnet.co";
-
-/// The vendored dataset files, in registry order.
-pub const SAMPLE_FILES: [&str; 3] = [SAMPLE_SOCIAL, SAMPLE_ROADNET, SAMPLE_ROADNET_COORDS];
-
-/// The dataset files backing one dataset-derived family (by the family's
-/// display name), empty for synthetic families. Bench cells key their
-/// cache entries on these files' content digests: a cell built from a
-/// dataset must invalidate when the dataset file changes, exactly like a
-/// source-crate edit.
-pub fn family_files(family: &str) -> &'static [&'static str] {
-    match family {
-        "ds-social" | "ds-chung-lu" => &[SAMPLE_SOCIAL],
-        "ds-roadnet" => &[SAMPLE_ROADNET],
-        "ds-unit-disk" | "ds-knn" => &[SAMPLE_ROADNET_COORDS],
-        _ => &[],
-    }
-}
+/// The SNAP-style social sample (power-law degrees).
+const SOCIAL: &str = include_str!("../../../datasets/sample-social.txt");
+/// The DIMACS road/sensor sample (near-planar).
+const ROADNET: &str = include_str!("../../../datasets/sample-roadnet.gr");
+/// The `v id x y` coordinates of the road sample's vertices.
+const ROADNET_COORDS: &str = include_str!("../../../datasets/sample-roadnet.co");
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -67,13 +49,6 @@ pub fn family_files(family: &str) -> &'static [&'static str] {
 /// Error ingesting a dataset file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatasetError {
-    /// The file could not be read.
-    Io {
-        /// The file involved.
-        path: PathBuf,
-        /// The underlying error, stringified.
-        err: String,
-    },
     /// The file contains no graph (no edges / no points).
     Empty {
         /// What was being parsed.
@@ -109,7 +84,6 @@ pub enum DatasetError {
 impl core::fmt::Display for DatasetError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            DatasetError::Io { path, err } => write!(f, "cannot read {}: {err}", path.display()),
             DatasetError::Empty { what } => write!(f, "{what} is empty"),
             DatasetError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
             DatasetError::SelfLoop { line, id } => {
@@ -131,34 +105,9 @@ impl From<GraphError> for DatasetError {
     }
 }
 
-fn io_err(path: &Path, err: impl core::fmt::Display) -> DatasetError {
-    DatasetError::Io {
-        path: path.to_path_buf(),
-        err: err.to_string(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Parsers
 // ---------------------------------------------------------------------------
-
-/// The dataset text formats the ingestion layer understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetFormat {
-    /// Plain whitespace-separated `u v` pairs, 0-indexed, `#`/`%`
-    /// comments. Strict: self-loops are errors, ids are used as written
-    /// (`n` = max id + 1).
-    EdgeList,
-    /// SNAP exports: `#` comment header, tab- or space-separated pairs.
-    /// Lenient, as SNAP data demands: sparse ids are remapped densely (in
-    /// ascending id order), self-loops dropped, duplicate and reversed
-    /// edges merged.
-    Snap,
-    /// DIMACS: `c` comments, a `p <kind> <n> <m>` header, 1-indexed
-    /// `e u v` (or `a u v`) edge lines. Strict: ids outside `1..=n`,
-    /// self-loops, and edges before the header are errors.
-    Dimacs,
-}
 
 /// A parsed dataset: a dense vertex range and a normalized edge list
 /// (each edge once as `(lo, hi)`, sorted, duplicate-free).
@@ -221,58 +170,16 @@ fn normalize(n: usize, mut edges: Vec<(u32, u32)>) -> ParsedDataset {
     ParsedDataset { n, edges }
 }
 
-/// Parses `text` as `format`. See [`DatasetFormat`] for the per-format
-/// strictness contract.
+/// Parses a SNAP export: `#` comment header, tab- or space-separated
+/// pairs. Lenient, as SNAP data demands: sparse ids are remapped densely
+/// (in ascending id order), self-loops dropped, duplicate and reversed
+/// edges merged.
 ///
 /// # Errors
 ///
 /// Any malformed line yields a typed [`DatasetError`]; a file with no
 /// edges yields [`DatasetError::Empty`].
-pub fn parse_str(text: &str, format: DatasetFormat) -> Result<ParsedDataset, DatasetError> {
-    match format {
-        DatasetFormat::EdgeList => parse_edge_list(text),
-        DatasetFormat::Snap => parse_snap(text),
-        DatasetFormat::Dimacs => parse_dimacs(text),
-    }
-}
-
-fn parse_edge_list(text: &str) -> Result<ParsedDataset, DatasetError> {
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut max_id = 0usize;
-    for (i, raw) in text.lines().enumerate() {
-        let line = clean(raw);
-        if is_comment(line.trim_start(), &['#', '%']) {
-            continue;
-        }
-        let lineno = i + 1;
-        let mut toks = line.split_whitespace();
-        let (u, v) = match (toks.next(), toks.next()) {
-            (Some(a), Some(b)) => (parse_id(a, lineno)?, parse_id(b, lineno)?),
-            _ => {
-                return Err(DatasetError::Parse {
-                    line: lineno,
-                    msg: format!("expected `u v`, got {line:?}"),
-                })
-            }
-        };
-        if u == v {
-            return Err(DatasetError::SelfLoop {
-                line: lineno,
-                id: u,
-            });
-        }
-        max_id = max_id.max(u).max(v);
-        edges.push((u as u32, v as u32));
-    }
-    if edges.is_empty() {
-        return Err(DatasetError::Empty {
-            what: "edge list".into(),
-        });
-    }
-    Ok(normalize(max_id + 1, edges))
-}
-
-fn parse_snap(text: &str) -> Result<ParsedDataset, DatasetError> {
+pub fn parse_snap(text: &str) -> Result<ParsedDataset, DatasetError> {
     let mut raw_edges: Vec<(u32, u32)> = Vec::new();
     let mut ids: Vec<u32> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -321,7 +228,15 @@ fn parse_snap(text: &str) -> Result<ParsedDataset, DatasetError> {
     Ok(normalize(ids.len(), edges))
 }
 
-fn parse_dimacs(text: &str) -> Result<ParsedDataset, DatasetError> {
+/// Parses DIMACS: `c` comments, a `p <kind> <n> <m>` header, 1-indexed
+/// `e u v` (or `a u v`) edge lines. Strict: ids outside `1..=n`,
+/// self-loops, and edges before the header are errors.
+///
+/// # Errors
+///
+/// Any malformed line yields a typed [`DatasetError`]; a file with no
+/// header or no edges yields [`DatasetError::Empty`].
+pub fn parse_dimacs(text: &str) -> Result<ParsedDataset, DatasetError> {
     let mut n: Option<usize> = None;
     let mut edges: Vec<(u32, u32)> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -393,16 +308,15 @@ fn parse_dimacs(text: &str) -> Result<ParsedDataset, DatasetError> {
     Ok(normalize(n, edges))
 }
 
-/// Parses a coordinate file: DIMACS-style `v <id> <x> <y>` lines
-/// (1-indexed, any order) or plain `x y` lines (sequential), with
-/// `#`/`%`/`c` comments and CRLF both tolerated.
+/// Parses a DIMACS-style coordinate file: `v <id> <x> <y>` lines,
+/// 1-indexed and in any order, with `#`/`%`/`c` comments and CRLF
+/// tolerated.
 ///
 /// # Errors
 ///
-/// Typed [`DatasetError`]s for unparsable lines, duplicate or out-of-order
-/// ids, and empty files.
-pub fn parse_coords_str(text: &str) -> Result<Vec<(f64, f64)>, DatasetError> {
-    let mut plain: Vec<(f64, f64)> = Vec::new();
+/// Typed [`DatasetError`]s for unparsable or untagged lines, duplicate or
+/// missing ids, and empty files.
+pub fn parse_coords(text: &str) -> Result<Vec<(f64, f64)>, DatasetError> {
     let mut tagged: Vec<(usize, (f64, f64))> = Vec::new();
     let parse_f = |tok: &str, line: usize| -> Result<f64, DatasetError> {
         tok.parse::<f64>().map_err(|_| DatasetError::Parse {
@@ -417,153 +331,52 @@ pub fn parse_coords_str(text: &str) -> Result<Vec<(f64, f64)>, DatasetError> {
             continue;
         }
         let mut toks = line.split_whitespace();
-        let first = toks.next().expect("non-blank line has a token");
-        if first == "v" {
-            let id = parse_id(
-                toks.next().ok_or_else(|| DatasetError::Parse {
-                    line: lineno,
-                    msg: "v-line missing the vertex id".into(),
-                })?,
-                lineno,
-            )?;
-            if id == 0 {
-                return Err(DatasetError::IdOutOfRange {
-                    line: lineno,
-                    id,
-                    n: 0,
-                });
-            }
-            let (x, y) = match (toks.next(), toks.next()) {
-                (Some(a), Some(b)) => (parse_f(a, lineno)?, parse_f(b, lineno)?),
-                _ => {
-                    return Err(DatasetError::Parse {
-                        line: lineno,
-                        msg: format!("expected `v id x y`, got {line:?}"),
-                    })
-                }
-            };
-            tagged.push((id - 1, (x, y)));
-        } else {
-            let (x, y) = match (Some(first), toks.next()) {
-                (Some(a), Some(b)) => (parse_f(a, lineno)?, parse_f(b, lineno)?),
-                _ => {
-                    return Err(DatasetError::Parse {
-                        line: lineno,
-                        msg: format!("expected `x y`, got {line:?}"),
-                    })
-                }
-            };
-            plain.push((x, y));
-        }
-    }
-    if !tagged.is_empty() {
-        if !plain.is_empty() {
+        if toks.next() != Some("v") {
             return Err(DatasetError::Parse {
-                line: 0,
-                msg: "mixed `v id x y` and plain `x y` lines".into(),
+                line: lineno,
+                msg: format!("expected `v id x y`, got {line:?}"),
             });
         }
-        tagged.sort_by_key(|&(id, _)| id);
-        for (i, &(id, _)) in tagged.iter().enumerate() {
-            if id != i {
-                return Err(DatasetError::Parse {
-                    line: 0,
-                    msg: format!("coordinate ids are not dense at index {i} (saw id {id})"),
-                });
-            }
+        let id = parse_id(
+            toks.next().ok_or_else(|| DatasetError::Parse {
+                line: lineno,
+                msg: "v-line missing the vertex id".into(),
+            })?,
+            lineno,
+        )?;
+        if id == 0 {
+            return Err(DatasetError::IdOutOfRange {
+                line: lineno,
+                id,
+                n: 0,
+            });
         }
-        return Ok(tagged.into_iter().map(|(_, p)| p).collect());
+        let (x, y) = match (toks.next(), toks.next()) {
+            (Some(a), Some(b)) => (parse_f(a, lineno)?, parse_f(b, lineno)?),
+            _ => {
+                return Err(DatasetError::Parse {
+                    line: lineno,
+                    msg: format!("expected `v id x y`, got {line:?}"),
+                })
+            }
+        };
+        tagged.push((id - 1, (x, y)));
     }
-    if plain.is_empty() {
+    if tagged.is_empty() {
         return Err(DatasetError::Empty {
             what: "coordinate file".into(),
         });
     }
-    Ok(plain)
-}
-
-/// Guesses the format of `path` from its extension, sniffing the first
-/// content line when the extension is unknown.
-pub fn detect_format(path: &Path, text: &str) -> DatasetFormat {
-    match path
-        .extension()
-        .and_then(|e| e.to_str())
-        .map(str::to_ascii_lowercase)
-        .as_deref()
-    {
-        Some("gr" | "dimacs" | "col" | "graph") => DatasetFormat::Dimacs,
-        Some("txt" | "snap") => DatasetFormat::Snap,
-        Some("edges" | "el" | "edgelist") => DatasetFormat::EdgeList,
-        _ => {
-            for raw in text.lines() {
-                let line = clean(raw).trim_start();
-                if line.is_empty() {
-                    continue;
-                }
-                if line.starts_with("c ") || line.starts_with("p ") || line == "c" {
-                    return DatasetFormat::Dimacs;
-                }
-                if line.starts_with('#') {
-                    return DatasetFormat::Snap;
-                }
-                break;
-            }
-            DatasetFormat::EdgeList
+    tagged.sort_by_key(|&(id, _)| id);
+    for (i, &(id, _)) in tagged.iter().enumerate() {
+        if id != i {
+            return Err(DatasetError::Parse {
+                line: 0,
+                msg: format!("coordinate ids are not dense at index {i} (saw id {id})"),
+            });
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Directory resolution
-// ---------------------------------------------------------------------------
-
-/// The workspace root this crate was built from.
-fn workspace_root() -> &'static Path {
-    // crates/graphs → crates → workspace root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-}
-
-/// Where dataset files are looked up: `$EBC_DATASET_DIR` if set (the
-/// bench CLI's `--dataset-dir` sets it), else `<workspace>/datasets` —
-/// the vendored samples.
-pub fn dataset_dir() -> PathBuf {
-    match std::env::var_os("EBC_DATASET_DIR") {
-        Some(dir) => PathBuf::from(dir),
-        None => workspace_root().join("datasets"),
-    }
-}
-
-/// The full path of one vendored (or `--dataset-dir`-relocated) file.
-pub fn sample_path(file: &str) -> PathBuf {
-    dataset_dir().join(file)
-}
-
-// ---------------------------------------------------------------------------
-// Loaders
-// ---------------------------------------------------------------------------
-
-/// Loads a dataset graph: reads `path`, picks the parser with
-/// [`detect_format`], and builds the CSR [`Graph`].
-///
-/// # Errors
-///
-/// [`DatasetError`] if the file is unreadable or malformed.
-pub fn load_graph(path: &Path) -> Result<Graph, DatasetError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    parse_str(&text, detect_format(path, &text))?.to_graph()
-}
-
-/// Loads a coordinate file ([`parse_coords_str`]).
-///
-/// # Errors
-///
-/// [`DatasetError`] if the file is unreadable or malformed.
-pub fn load_coords(path: &Path) -> Result<Vec<(f64, f64)>, DatasetError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    parse_coords_str(&text)
+    Ok(tagged.into_iter().map(|(_, p)| p).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -890,29 +703,32 @@ pub fn subsample_coords(pts: &[(f64, f64)], n: usize, seed: u64) -> Vec<(f64, f6
 // The vendored-sample family backends
 // ---------------------------------------------------------------------------
 
-/// Loads a vendored sample graph, panicking with a pointed message when
-/// the dataset dir is missing — the families API is infallible by
-/// contract, and the vendored files ship with the repo.
-///
-/// Each sample is parsed once per process and shared from then on,
-/// memoized under its resolved path ([`sample_path`], so `--dataset-dir`
-/// still applies). A sample edited while a process runs is not re-read by
-/// that process; the next process sees the edit. The bench cell cache
-/// likewise digests dataset files when a run opens it, not per cell.
-fn sample_graph(file: &str) -> Arc<Graph> {
-    static PARSED: Mutex<BTreeMap<PathBuf, Arc<Graph>>> = Mutex::new(BTreeMap::new());
-    // A load that panics has inserted nothing, so a poisoned map is whole.
-    let mut parsed = PARSED.lock().unwrap_or_else(PoisonError::into_inner);
-    let graph = parsed.entry(sample_path(file)).or_insert_with_key(|path| {
-        Arc::new(load_graph(path).unwrap_or_else(|e| {
-            panic!(
-                "cannot load vendored dataset {} (set EBC_DATASET_DIR or run \
-                 from the repo): {e}",
-                path.display()
-            )
-        }))
-    });
-    Arc::clone(graph)
+/// The social sample's graph, parsed the first time it is used.
+fn social() -> &'static Graph {
+    static GRAPH: OnceLock<Graph> = OnceLock::new();
+    GRAPH.get_or_init(|| {
+        parse_snap(SOCIAL)
+            .and_then(|p| p.to_graph())
+            .expect("the vendored sample-social.txt parses")
+    })
+}
+
+/// The road sample's graph, parsed the first time it is used.
+fn roadnet() -> &'static Graph {
+    static GRAPH: OnceLock<Graph> = OnceLock::new();
+    GRAPH.get_or_init(|| {
+        parse_dimacs(ROADNET)
+            .and_then(|p| p.to_graph())
+            .expect("the vendored sample-roadnet.gr parses")
+    })
+}
+
+/// The road sample's coordinates, parsed the first time they are used.
+fn roadnet_coords() -> &'static [(f64, f64)] {
+    static POINTS: OnceLock<Vec<(f64, f64)>> = OnceLock::new();
+    POINTS.get_or_init(|| {
+        parse_coords(ROADNET_COORDS).expect("the vendored sample-roadnet.co parses")
+    })
 }
 
 /// The vertex of maximum degree (lowest id on ties) — the natural hub to
@@ -925,14 +741,13 @@ fn hub(graph: &Graph) -> usize {
 
 /// An n-vertex BFS ball of one sample graph, rooted at its hub; the
 /// sample is tiled up first when `n` exceeds it ([`tile_graph`]).
-fn ball_instance(file: &str, n: usize) -> Graph {
-    let sample = sample_graph(file);
+fn ball_instance(sample: &Graph, n: usize) -> Graph {
     let tiled;
     let g = if n > sample.n() {
-        tiled = tile_graph(&sample, n.div_ceil(sample.n()));
+        tiled = tile_graph(sample, n.div_ceil(sample.n()));
         &tiled
     } else {
-        &*sample
+        sample
     };
     bfs_ball(g, hub(g), n)
 }
@@ -940,13 +755,13 @@ fn ball_instance(file: &str, n: usize) -> Graph {
 /// `ds-social`: an n-vertex BFS ball around the social sample's highest-
 /// degree hub. Deterministic (the seed is unused — the data is the data).
 pub fn social_instance(n: usize) -> Graph {
-    ball_instance(SAMPLE_SOCIAL, n)
+    ball_instance(social(), n)
 }
 
 /// `ds-roadnet`: an n-vertex BFS ball of the road/sensor sample, rooted
 /// at its hub. Deterministic.
 pub fn roadnet_instance(n: usize) -> Graph {
-    ball_instance(SAMPLE_ROADNET, n)
+    ball_instance(roadnet(), n)
 }
 
 /// `ds-unit-disk`: a unit-disk graph over `n` points subsampled from the
@@ -972,43 +787,32 @@ pub fn knn_instance(n: usize, seed: u64) -> Graph {
 }
 
 fn sample_coords(n: usize, seed: u64) -> Vec<(f64, f64)> {
-    let path = sample_path(SAMPLE_ROADNET_COORDS);
-    let mut pts = load_coords(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot load vendored dataset {} (set EBC_DATASET_DIR or run \
-             from the repo): {e}",
-            path.display()
-        )
-    });
+    let pts = roadnet_coords();
     if n > pts.len() {
-        pts = tile_coords(&pts, n.div_ceil(pts.len()));
+        return subsample_coords(&tile_coords(pts, n.div_ceil(pts.len())), n, seed);
     }
-    subsample_coords(&pts, n, seed)
+    subsample_coords(pts, n, seed)
 }
 
 /// `ds-chung-lu`: a Chung-Lu graph whose weights are `n` degrees
 /// resampled from the social sample's observed degree sequence — the
 /// power-law "millions-of-users" surrogate, scalable to any `n`.
 pub fn chung_lu_instance(n: usize, seed: u64) -> Graph {
-    let g = sample_graph(SAMPLE_SOCIAL);
-    chung_lu(&resample_degrees(&g, n, seed), seed)
+    chung_lu(&resample_degrees(social(), n, seed), seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const EDGE_LIST: &str = "# tiny\n0 1\n1 2\n2 3\n3 0\n";
     const SNAP: &str = "# Directed graph: web-tiny.txt\n# Nodes: 4 Edges: 5\n10\t20\n20\t30\n30\t40\n40\t10\n10\t10\n20\t10\n";
     const DIMACS: &str = "c a square\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n";
 
     #[test]
-    fn the_three_formats_agree_on_the_square() {
-        let a = parse_str(EDGE_LIST, DatasetFormat::EdgeList).unwrap();
-        let b = parse_str(SNAP, DatasetFormat::Snap).unwrap();
-        let c = parse_str(DIMACS, DatasetFormat::Dimacs).unwrap();
-        assert_eq!(a, b, "SNAP remap + normalization must match");
-        assert_eq!(a, c, "DIMACS 1-indexing must shift to 0-indexed");
+    fn the_two_formats_agree_on_the_square() {
+        let a = parse_snap(SNAP).unwrap();
+        let b = parse_dimacs(DIMACS).unwrap();
+        assert_eq!(a, b, "SNAP remap and DIMACS 1-indexing must agree");
         assert_eq!(a.n, 4);
         assert_eq!(a.edges, vec![(0, 1), (0, 3), (1, 2), (2, 3)]);
         let g = a.to_graph().unwrap();
@@ -1018,14 +822,14 @@ mod tests {
     #[test]
     fn crlf_and_unicode_comments_parse() {
         let text = "# ünïcødé ✓ comment — naïve café\r\n0 1\r\n1 2\r\n";
-        let p = parse_str(text, DatasetFormat::EdgeList).unwrap();
+        let p = parse_snap(text).unwrap();
         assert_eq!(p.n, 3);
         assert_eq!(p.edges.len(), 2);
     }
 
     #[test]
     fn snap_normalizes_self_loops_duplicates_and_sparse_ids() {
-        let p = parse_str(SNAP, DatasetFormat::Snap).unwrap();
+        let p = parse_snap(SNAP).unwrap();
         // 10→0, 20→1, 30→2, 40→3; the self-loop 10-10 dropped; the
         // reversed duplicate 20-10 merged into 10-20.
         assert_eq!(p.n, 4);
@@ -1033,19 +837,15 @@ mod tests {
     }
 
     #[test]
-    fn strict_formats_reject_malformed_input_with_typed_errors() {
-        // Self-loops.
+    fn malformed_input_yields_typed_errors() {
+        // A DIMACS self-loop.
         assert!(matches!(
-            parse_str("0 0\n", DatasetFormat::EdgeList),
-            Err(DatasetError::SelfLoop { line: 1, id: 0 })
-        ));
-        assert!(matches!(
-            parse_str("p edge 3 1\ne 2 2\n", DatasetFormat::Dimacs),
+            parse_dimacs("p edge 3 1\ne 2 2\n"),
             Err(DatasetError::SelfLoop { line: 2, id: 2 })
         ));
         // Out-of-range / 0 ids in 1-indexed DIMACS.
         assert!(matches!(
-            parse_str("p edge 3 1\ne 1 4\n", DatasetFormat::Dimacs),
+            parse_dimacs("p edge 3 1\ne 1 4\n"),
             Err(DatasetError::IdOutOfRange {
                 line: 2,
                 id: 4,
@@ -1053,76 +853,57 @@ mod tests {
             })
         ));
         assert!(matches!(
-            parse_str("p edge 3 1\ne 0 1\n", DatasetFormat::Dimacs),
+            parse_dimacs("p edge 3 1\ne 0 1\n"),
             Err(DatasetError::IdOutOfRange { id: 0, .. })
         ));
         // Empty files.
         assert!(matches!(
-            parse_str("# nothing here\n", DatasetFormat::EdgeList),
+            parse_snap("# nothing here\n"),
             Err(DatasetError::Empty { .. })
         ));
+        assert!(matches!(parse_snap(""), Err(DatasetError::Empty { .. })));
         assert!(matches!(
-            parse_str("", DatasetFormat::Snap),
-            Err(DatasetError::Empty { .. })
-        ));
-        assert!(matches!(
-            parse_str("c no p line\n", DatasetFormat::Dimacs),
+            parse_dimacs("c no p line\n"),
             Err(DatasetError::Empty { .. })
         ));
         // Garbage tokens and truncated lines.
         assert!(matches!(
-            parse_str("0 x\n", DatasetFormat::EdgeList),
+            parse_snap("0 x\n"),
             Err(DatasetError::Parse { line: 1, .. })
         ));
         assert!(matches!(
-            parse_str("p edge 3 1\ne 1\n", DatasetFormat::Dimacs),
+            parse_dimacs("p edge 3 1\ne 1\n"),
             Err(DatasetError::Parse { line: 2, .. })
         ));
         // An edge before the DIMACS header.
         assert!(matches!(
-            parse_str("e 1 2\n", DatasetFormat::Dimacs),
+            parse_dimacs("e 1 2\n"),
             Err(DatasetError::Parse { line: 1, .. })
         ));
     }
 
     #[test]
-    fn coords_parse_both_styles() {
-        let tagged = "c DIMACS style\nv 2 1.5 2.5\nv 1 0.0 0.5\nv 3 3.0 0.25\n";
-        let pts = parse_coords_str(tagged).unwrap();
+    fn coords_parse_tagged_lines() {
+        let tagged = "c DIMACS style\nv 2 1.5 2.5\r\nv 1 0.0 0.5\nv 3 3.0 0.25\n";
+        let pts = parse_coords(tagged).unwrap();
         assert_eq!(pts, vec![(0.0, 0.5), (1.5, 2.5), (3.0, 0.25)]);
-        let plain = "# plain\n0.0 0.5\r\n1.5 2.5\r\n";
-        assert_eq!(parse_coords_str(plain).unwrap().len(), 2);
         assert!(matches!(
-            parse_coords_str("# none\n"),
+            parse_coords("# none\n"),
             Err(DatasetError::Empty { .. })
         ));
         assert!(matches!(
-            parse_coords_str("v 1 0 0\nv 3 1 1\n"),
+            parse_coords("v 1 0 0\nv 3 1 1\n"),
             Err(DatasetError::Parse { .. })
         ));
         assert!(matches!(
-            parse_coords_str("0 bad\n"),
+            parse_coords("v 1 0 bad\n"),
             Err(DatasetError::Parse { line: 1, .. })
         ));
-    }
-
-    #[test]
-    fn format_detection_by_extension_and_sniffing() {
-        let d = Path::new("x.gr");
-        assert_eq!(detect_format(d, ""), DatasetFormat::Dimacs);
-        assert_eq!(detect_format(Path::new("x.txt"), ""), DatasetFormat::Snap);
-        assert_eq!(
-            detect_format(Path::new("x.edges"), ""),
-            DatasetFormat::EdgeList
-        );
-        // Unknown extension: sniff.
-        let u = Path::new("x.data");
-        assert_eq!(
-            detect_format(u, "c hi\np edge 1 0\n"),
-            DatasetFormat::Dimacs
-        );
-        assert_eq!(detect_format(u, "# snap\n1 2\n"), DatasetFormat::Snap);
-        assert_eq!(detect_format(u, "1 2\n"), DatasetFormat::EdgeList);
+        // Untagged `x y` lines are not coordinates.
+        assert!(matches!(
+            parse_coords("0.0 0.5\n"),
+            Err(DatasetError::Parse { line: 1, .. })
+        ));
     }
 
     #[test]
@@ -1207,7 +988,7 @@ mod tests {
         xs.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(xs.windows(2).all(|w| w[1] > w[0]), "coordinate collision");
         // A ball bigger than the sample still has exactly n vertices.
-        let big = ball_instance(SAMPLE_ROADNET, 1500);
+        let big = ball_instance(roadnet(), 1500);
         assert_eq!(big.n(), 1500);
         assert!(big.is_connected());
     }
@@ -1227,50 +1008,27 @@ mod tests {
 
     #[test]
     fn vendored_samples_load_and_are_connected() {
-        for file in [SAMPLE_SOCIAL, SAMPLE_ROADNET] {
-            let g = sample_graph(file);
-            assert!(g.n() >= 512, "{file}: n = {}", g.n());
-            assert!(g.is_connected(), "{file} disconnected");
+        for (name, g) in [("social", social()), ("roadnet", roadnet())] {
+            assert!(g.n() >= 512, "{name}: n = {}", g.n());
+            assert!(g.is_connected(), "{name} disconnected");
         }
-        let pts = load_coords(&sample_path(SAMPLE_ROADNET_COORDS)).unwrap();
-        assert!(pts.len() >= 512);
+        assert!(roadnet_coords().len() >= 512);
         // The social sample is the power-law one: its hub dwarfs its
         // median degree.
-        let g = sample_graph(SAMPLE_SOCIAL);
+        let g = social();
         let mut degs: Vec<usize> = (0..g.n()).map(|v| g.degree(v)).collect();
         degs.sort_unstable();
         assert!(
-            g.degree(hub(&g)) >= 8 * degs[g.n() / 2],
+            g.degree(hub(g)) >= 8 * degs[g.n() / 2],
             "hub {} vs median {}",
-            g.degree(hub(&g)),
+            g.degree(hub(g)),
             degs[g.n() / 2]
         );
     }
 
     #[test]
     fn vendored_samples_parse_once_per_process() {
-        let first = sample_graph(SAMPLE_SOCIAL);
-        let second = sample_graph(SAMPLE_SOCIAL);
-        assert!(Arc::ptr_eq(&first, &second), "second call re-parsed");
-        assert_eq!(*first, load_graph(&sample_path(SAMPLE_SOCIAL)).unwrap());
-    }
-
-    #[test]
-    fn family_files_cover_every_dataset_family_and_only_them() {
-        for fam in [
-            "ds-social",
-            "ds-roadnet",
-            "ds-unit-disk",
-            "ds-knn",
-            "ds-chung-lu",
-        ] {
-            let files = family_files(fam);
-            assert!(!files.is_empty(), "{fam} has no backing files");
-            for f in files {
-                assert!(SAMPLE_FILES.contains(f), "{fam} names unvendored {f}");
-            }
-        }
-        assert!(family_files("cycle").is_empty());
-        assert!(family_files("nope").is_empty());
+        assert!(std::ptr::eq(social(), social()), "second call re-parsed");
+        assert_eq!(*social(), parse_snap(SOCIAL).unwrap().to_graph().unwrap());
     }
 }

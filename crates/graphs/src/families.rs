@@ -1,8 +1,7 @@
 //! Named, parameterized graph families for the benchmark harness.
 //!
-//! Each [`Family`] bundles a generator with the metadata benches need:
-//! a display name and, when known analytically, the diameter — so harnesses
-//! need not run `O(n²)` BFS sweeps on large instances.
+//! Each [`Family`] bundles a generator with the display name benches
+//! report it under.
 
 use ebc_radio::Graph;
 
@@ -61,15 +60,13 @@ pub enum Family {
     DsChungLu,
 }
 
-/// A generated instance plus its metadata.
+/// A generated instance plus its family's display name.
 #[derive(Debug, Clone)]
 pub struct Instance {
     /// Family display name.
     pub name: &'static str,
     /// The graph.
     pub graph: Graph,
-    /// The diameter, if known analytically (else compute it).
-    pub diameter: Option<u32>,
 }
 
 impl Family {
@@ -121,38 +118,21 @@ impl Family {
         Family::DsChungLu,
     ];
 
-    /// Whether this family is derived from an on-disk dataset (so its
-    /// bench cells must be keyed on the dataset files' content digests —
-    /// see `datasets::family_files`).
-    pub fn is_dataset(self) -> bool {
-        !crate::datasets::family_files(self.name()).is_empty()
-    }
-
-    /// Looks up a family by its display name.
-    pub fn by_name(name: &str) -> Option<Family> {
-        Family::ALL.iter().copied().find(|f| f.name() == name)
-    }
-
     /// Generates an instance with approximately `n` vertices.
     ///
     /// # Panics
     ///
     /// Panics if `n` is too small for the family (all families accept
-    /// `n ≥ 8`), or — for the dataset-derived `ds-*` families — if the
-    /// vendored dataset files cannot be loaded (run from the repo, or
-    /// point `EBC_DATASET_DIR` at them).
+    /// `n ≥ 8`).
     pub fn instance(self, n: usize, seed: u64) -> Instance {
         assert!(n >= 8, "families are defined for n >= 8");
-        let (graph, diameter) = match self {
-            Family::Path => (deterministic::path(n), Some(n as u32 - 1)),
-            Family::Cycle => (deterministic::cycle(n), Some(n as u32 / 2)),
-            Family::Ladder => {
-                let len = n / 2;
-                (deterministic::ladder(len), Some(len as u32))
-            }
+        let graph = match self {
+            Family::Path => deterministic::path(n),
+            Family::Cycle => deterministic::cycle(n),
+            Family::Ladder => deterministic::ladder(n / 2),
             Family::Grid => {
                 let side = (n as f64).sqrt().round().max(2.0) as usize;
-                (deterministic::grid(side, side), Some(2 * (side as u32 - 1)))
+                deterministic::grid(side, side)
             }
             Family::BinaryTree => {
                 // Smallest complete binary tree with ≥ n vertices: depth d
@@ -162,54 +142,44 @@ impl Family {
                 while (1usize << (depth + 1)) - 1 < n {
                     depth += 1;
                 }
-                (deterministic::complete_tree(2, depth), Some(2 * depth))
+                deterministic::complete_tree(2, depth)
             }
-            Family::BoundedDeg4 => (random::bounded_degree(n, 4, 1.5, seed), None),
-            Family::BoundedDeg16 => (random::bounded_degree(n, 16, 4.0, seed), None),
+            Family::BoundedDeg4 => random::bounded_degree(n, 4, 1.5, seed),
+            Family::BoundedDeg16 => random::bounded_degree(n, 16, 4.0, seed),
             Family::GnpAvgDeg8 => {
                 let p = (8.0 / n as f64).min(1.0);
-                (random::gnp_connected(n, p, seed), None)
+                random::gnp_connected(n, p, seed)
             }
             Family::ClusterChain8 => {
                 let blocks = (n / 8).max(1);
-                (random::cluster_chain(blocks, 8, seed), None)
+                random::cluster_chain(blocks, 8, seed)
             }
-            Family::K2k => (deterministic::k2k(n - 2), Some(2)),
-            Family::Star => (deterministic::star(n - 1), Some(2)),
+            Family::K2k => deterministic::k2k(n - 2),
+            Family::Star => deterministic::star(n - 1),
             Family::Hypercube => {
                 let d = ((n as f64).log2().round() as u32).max(3);
-                (deterministic::hypercube(d), Some(d))
+                deterministic::hypercube(d)
             }
             Family::UnitDisk => {
                 // πr²n ≈ 8 → expected degree ≈ 8, above the connectivity
                 // threshold at bench sizes.
                 let r = (8.0 / (std::f64::consts::PI * n as f64)).sqrt();
-                (random::unit_disk(n, r, seed), None)
+                random::unit_disk(n, r, seed)
             }
             Family::Barbell => {
                 let k = (n / 3).max(3);
-                let bridge = n.saturating_sub(2 * k);
-                (deterministic::barbell(k, bridge), Some(bridge as u32 + 3))
+                deterministic::barbell(k, n.saturating_sub(2 * k))
             }
-            Family::DsSocial => (datasets::social_instance(n), None),
-            Family::DsRoadnet => (datasets::roadnet_instance(n), None),
-            Family::DsUnitDisk => (datasets::unit_disk_instance(n, seed), None),
-            Family::DsKnn => (datasets::knn_instance(n, seed), None),
-            Family::DsChungLu => (datasets::chung_lu_instance(n, seed), None),
+            Family::DsSocial => datasets::social_instance(n),
+            Family::DsRoadnet => datasets::roadnet_instance(n),
+            Family::DsUnitDisk => datasets::unit_disk_instance(n, seed),
+            Family::DsKnn => datasets::knn_instance(n, seed),
+            Family::DsChungLu => datasets::chung_lu_instance(n, seed),
         };
         Instance {
             name: self.name(),
             graph,
-            diameter,
         }
-    }
-}
-
-impl Instance {
-    /// The diameter: the known value, or computed exactly on demand.
-    pub fn diameter(&self) -> u32 {
-        self.diameter
-            .unwrap_or_else(|| self.graph.diameter_exact().expect("connected"))
     }
 }
 
@@ -226,23 +196,6 @@ mod tests {
                 "{} disconnected at n=64",
                 fam.name()
             );
-        }
-    }
-
-    #[test]
-    fn known_diameters_match_exact() {
-        for fam in Family::ALL {
-            for n in [8, 32] {
-                let inst = fam.instance(n, 7);
-                if let Some(d) = inst.diameter {
-                    assert_eq!(
-                        d,
-                        inst.graph.diameter_exact().unwrap(),
-                        "family {} at n={n}",
-                        fam.name()
-                    );
-                }
-            }
         }
     }
 
@@ -294,45 +247,28 @@ mod tests {
     }
 
     #[test]
-    fn dataset_families_are_in_all_and_flagged() {
-        // The size-contract, connectivity, and diameter tests above all
-        // iterate Family::ALL, so the ds-* families are covered by the
-        // same n ≥ 8 contract as the synthetic ones; this pins that they
-        // actually are in ALL (and only they carry dataset backing).
-        let ds: Vec<&str> = Family::ALL
-            .iter()
-            .filter(|f| f.is_dataset())
-            .map(|f| f.name())
+    fn dataset_families_are_in_all_and_reproducible() {
+        // The size-contract and connectivity tests above iterate
+        // Family::ALL, so this pins that the ds-* families are in it (and
+        // so held to the same n ≥ 8 contract as the synthetic ones).
+        let ds: Vec<Family> = Family::ALL
+            .into_iter()
+            .filter(|f| f.name().starts_with("ds-"))
             .collect();
         assert_eq!(
             ds,
             [
-                "ds-social",
-                "ds-roadnet",
-                "ds-unit-disk",
-                "ds-knn",
-                "ds-chung-lu"
+                Family::DsSocial,
+                Family::DsRoadnet,
+                Family::DsUnitDisk,
+                Family::DsKnn,
+                Family::DsChungLu
             ]
         );
-        for fam in Family::ALL {
-            assert_eq!(fam.is_dataset(), fam.name().starts_with("ds-"));
-        }
-    }
-
-    #[test]
-    fn dataset_families_are_reproducible() {
-        for fam in Family::ALL.iter().filter(|f| f.is_dataset()) {
+        for fam in ds {
             let a = fam.instance(32, 9);
             let b = fam.instance(32, 9);
             assert_eq!(a.graph, b.graph, "{} not deterministic", fam.name());
         }
-    }
-
-    #[test]
-    fn by_name_round_trips() {
-        for fam in Family::ALL {
-            assert_eq!(Family::by_name(fam.name()), Some(fam));
-        }
-        assert_eq!(Family::by_name("nope"), None);
     }
 }

@@ -71,20 +71,6 @@ pub enum FaultPlan {
     },
 }
 
-impl FaultPlan {
-    /// The stable kebab-case name of the plan kind (the bench matrix's
-    /// fault-axis value): `"none"`, `"slot-loss"`, `"crash"`, or
-    /// `"jammer"`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultPlan::None => "none",
-            FaultPlan::SlotLoss { .. } => "slot-loss",
-            FaultPlan::Crash { .. } => "crash",
-            FaultPlan::Jammer { .. } => "jammer",
-        }
-    }
-}
-
 /// What the fault layer decides about one simulated slot's channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotVerdict {
@@ -266,21 +252,6 @@ mod tests {
 
     fn state(plan: FaultPlan, n: usize) -> FaultState {
         FaultState::new(plan, 0xdead_beef, n)
-    }
-
-    #[test]
-    fn plan_names_are_stable() {
-        assert_eq!(FaultPlan::None.name(), "none");
-        assert_eq!(FaultPlan::SlotLoss { p: 0.5 }.name(), "slot-loss");
-        assert_eq!(FaultPlan::Crash { schedule: vec![] }.name(), "crash");
-        assert_eq!(
-            FaultPlan::Jammer {
-                budget: 1,
-                period: 1
-            }
-            .name(),
-            "jammer"
-        );
     }
 
     #[test]

@@ -309,7 +309,7 @@ proptest! {
             // jammer that never fires — must match the clean oracle
             // bit-for-bit, simulate every slot, and destroy no send.
             for plan in zero_strength_plans() {
-                let name = plan.name();
+                let name = format!("{plan:?}");
                 let mut sim = Sim::with_faults(graph.clone(), model, 0, plan);
                 let got = drive(&mut sim, Shape::Dense, script_seed, slots);
                 prop_assert_eq!(sim.meter().idle_skipped(), 0);
