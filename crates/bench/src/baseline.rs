@@ -21,9 +21,11 @@
 //! is reported as a note) — quick-mode fits over ~4 n-points are noisy
 //! enough that a hand-tuned band either trips on seed noise or masks
 //! real drift. Means and scalars keep a relative
-//! tolerance: sweeps are deterministic given their seeds, so in CI those
-//! diffs are normally exact, and the tolerance exists to absorb
-//! intentional small reparameterizations without churning the baselines.
+//! tolerance, [`METRIC_REL_TOLERANCE`] (exponents without a CI fall back
+//! to the absolute band [`EXPONENT_ABS_TOLERANCE`]): sweeps are
+//! deterministic given their seeds, so in CI those diffs are normally
+//! exact, and the tolerance exists to absorb intentional small
+//! reparameterizations without churning the baselines.
 //! Both the gate and the updater force an unlimited cell budget —
 //! wall-clock truncation would make the case set machine-dependent.
 
@@ -41,25 +43,13 @@ pub fn baseline_path(dir: &Path, experiment: &str) -> PathBuf {
     dir.join(format!("{experiment}.json"))
 }
 
-/// Per-metric tolerances for [`diff`].
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerances {
-    /// Maximum relative drift of a per-case summary mean or gate scalar.
-    pub metric_rel: f64,
-    /// Maximum absolute drift of a fitted power-law exponent — the
-    /// fallback band, used only when either side lacks a bootstrap CI
-    /// (CI-overlap is the primary gate).
-    pub exponent_abs: f64,
-}
+/// Maximum relative drift of a per-case summary mean or gate scalar.
+pub const METRIC_REL_TOLERANCE: f64 = 0.10;
 
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            metric_rel: 0.10,
-            exponent_abs: 0.25,
-        }
-    }
-}
+/// Maximum absolute drift of a fitted power-law exponent — the fallback
+/// band, used only when either side lacks a bootstrap CI (CI-overlap is
+/// the primary gate).
+pub const EXPONENT_ABS_TOLERANCE: f64 = 0.25;
 
 /// What a baseline comparison found.
 #[derive(Debug, Default)]
@@ -197,7 +187,6 @@ fn diff_row_metrics(
     base_row: &Json,
     fresh_row: &Json,
     key_field: &str,
-    tol: &Tolerances,
 ) {
     let Json::Obj(pairs) = base_row else { return };
     for (metric, base_value) in pairs {
@@ -209,12 +198,12 @@ fn diff_row_metrics(
         match (b, f) {
             (Some(b), Some(f)) => {
                 let drift = rel_drift(b, f);
-                if drift > tol.metric_rel {
+                if drift > METRIC_REL_TOLERANCE {
                     report.regressions.push(format!(
                         "{kind} {key}: {metric} drifted {:+.1}% (baseline {b}, fresh {f}, \
                          tolerance ±{:.0}%)",
                         100.0 * (f - b) / b.abs().max(1e-12),
-                        100.0 * tol.metric_rel,
+                        100.0 * METRIC_REL_TOLERANCE,
                     ));
                 }
             }
@@ -250,7 +239,6 @@ fn diff_section(
     section: &str,
     key_field: &str,
     kind: &str,
-    tol: &Tolerances,
 ) {
     let fresh_rows: std::collections::HashMap<&str, &Json> =
         rows_by_key(fresh, section, key_field).into_iter().collect();
@@ -263,7 +251,7 @@ fn diff_section(
                 .push(format!("{kind} {key}: present in baseline, missing fresh"));
             continue;
         };
-        diff_row_metrics(report, kind, key, base_row, fresh_row, key_field, tol);
+        diff_row_metrics(report, kind, key, base_row, fresh_row, key_field);
     }
     for (key, _) in rows_by_key(fresh, section, key_field) {
         if !baseline_keys.contains(key) {
@@ -276,13 +264,14 @@ fn diff_section(
 
 /// Diffs a fresh baseline document against the checked-in one.
 ///
-/// Means and scalars gate on relative drift; fitted exponents gate on
-/// **bootstrap-CI overlap** (the `exponent_abs` band is only the fallback
+/// Means and scalars gate on relative drift beyond
+/// [`METRIC_REL_TOLERANCE`]; fitted exponents gate on **bootstrap-CI
+/// overlap** (the [`EXPONENT_ABS_TOLERANCE`] band is only the fallback
 /// when either side lacks a CI), and growth-class flips gate outright
 /// only when the two exponent CIs exclude each other — a flip whose CIs
 /// overlap is seed noise around a classification boundary and is
 /// reported as a note instead.
-pub fn diff(baseline: &Json, fresh: &Json, tol: &Tolerances) -> DiffReport {
+pub fn diff(baseline: &Json, fresh: &Json) -> DiffReport {
     let mut report = DiffReport::default();
     for field in ["experiment", "config"] {
         let (b, f) = (baseline.get(field), fresh.get(field));
@@ -295,16 +284,8 @@ pub fn diff(baseline: &Json, fresh: &Json, tol: &Tolerances) -> DiffReport {
         }
     }
 
-    diff_section(
-        &mut report,
-        baseline,
-        fresh,
-        "scalars",
-        "scalar",
-        "scalar",
-        tol,
-    );
-    diff_section(&mut report, baseline, fresh, "cases", "case", "case", tol);
+    diff_section(&mut report, baseline, fresh, "scalars", "scalar", "scalar");
+    diff_section(&mut report, baseline, fresh, "cases", "case", "case");
 
     let fit_key = |row: &Json| -> Option<String> {
         Some(format!(
@@ -395,11 +376,11 @@ pub fn diff(baseline: &Json, fresh: &Json, tol: &Tolerances) -> DiffReport {
                 }
                 // Fallback band for rows without CIs.
                 _ => {
-                    if (f - b).abs() > tol.exponent_abs {
+                    if (f - b).abs() > EXPONENT_ABS_TOLERANCE {
                         report.regressions.push(format!(
                             "fit {key}: exponent drifted {b:.3} → {f:.3} \
                              (tolerance ±{:.2}, no CI)",
-                            tol.exponent_abs
+                            EXPONENT_ABS_TOLERANCE
                         ));
                     }
                 }
@@ -436,17 +417,13 @@ pub fn write_baseline(dir: &Path, result: &ExperimentResult) -> std::io::Result<
 }
 
 /// Diffs `result` against the baseline checked in under `dir`.
-pub fn check_against(
-    dir: &Path,
-    result: &ExperimentResult,
-    tol: &Tolerances,
-) -> Result<DiffReport, String> {
+pub fn check_against(dir: &Path, result: &ExperimentResult) -> Result<DiffReport, String> {
     let path = baseline_path(dir, result.spec.name);
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
     let baseline =
         Json::parse(&text).map_err(|e| format!("cannot parse baseline {}: {e}", path.display()))?;
-    Ok(diff(&baseline, &baseline_doc(result), tol))
+    Ok(diff(&baseline, &baseline_doc(result)))
 }
 
 /// What the gate found for one experiment: its diff report, or the error
@@ -618,7 +595,7 @@ mod tests {
         let doc = baseline_doc(result);
         // Byte-stable: document ↔ parse round trip.
         assert_eq!(Json::parse(&doc.to_string_pretty()).unwrap(), doc);
-        let report = diff(&doc, &baseline_doc(result), &Tolerances::default());
+        let report = diff(&doc, &baseline_doc(result));
         assert!(report.passed(), "regressions: {:?}", report.regressions);
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
     }
@@ -640,7 +617,7 @@ mod tests {
                 }
             }
         });
-        let report = diff(&planted, &baseline_doc(result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(result));
         assert!(!report.passed());
         assert!(
             report.regressions.iter().any(|r| r.contains("energy_mean")),
@@ -676,7 +653,7 @@ mod tests {
         let result = matrix_result();
         let baseline = baseline_doc(result);
         let planted = plant_fits(&baseline, |row| shift_exponent(row, 1.0));
-        let report = diff(&planted, &baseline_doc(result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(result));
         assert!(!report.passed());
         assert!(
             report
@@ -713,7 +690,7 @@ mod tests {
                 }
             }
         });
-        let report = diff(&planted, &baseline_doc(result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(result));
         let exponent_regressions: Vec<&String> = report
             .regressions
             .iter()
@@ -741,7 +718,7 @@ mod tests {
                 }
             }
         });
-        let report = diff(&planted, &baseline_doc(result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(result));
         assert!(
             !report
                 .regressions
@@ -766,7 +743,7 @@ mod tests {
                 }
             }
         });
-        let report = diff(&planted, &baseline_doc(result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(result));
         assert!(
             report
                 .regressions
@@ -790,7 +767,7 @@ mod tests {
                 }
             }
         });
-        let report = diff(&planted, &baseline_doc(result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(result));
         assert!(
             !report
                 .regressions
@@ -825,12 +802,12 @@ mod tests {
             }
             doc
         };
-        let report = diff(&baseline, &drop_first(&baseline), &Tolerances::default());
+        let report = diff(&baseline, &drop_first(&baseline));
         assert!(report
             .regressions
             .iter()
             .any(|r| r.contains("missing fresh")));
-        let report = diff(&drop_first(&baseline), &baseline, &Tolerances::default());
+        let report = diff(&drop_first(&baseline), &baseline);
         assert!(report.passed(), "{:?}", report.regressions);
         assert!(report.notes.iter().any(|n| n.contains("new")));
     }
@@ -845,7 +822,7 @@ mod tests {
             find_experiment("scenario_matrix").unwrap(),
             &other,
         ));
-        let report = diff(&baseline, &fresh, &Tolerances::default());
+        let report = diff(&baseline, &fresh);
         assert!(report
             .regressions
             .iter()
@@ -859,10 +836,10 @@ mod tests {
         let result = matrix_result();
         let path = write_baseline(&dir, result).unwrap();
         assert!(path.ends_with("scenario_matrix.json"));
-        let report = check_against(&dir, result, &Tolerances::default()).unwrap();
+        let report = check_against(&dir, result).unwrap();
         assert!(report.passed(), "{:?}", report.regressions);
         std::fs::remove_file(&path).ok();
-        assert!(check_against(&dir, result, &Tolerances::default()).is_err());
+        assert!(check_against(&dir, result).is_err());
     }
 
     /// Runs one non-matrix experiment under the shared gate config shape.
@@ -889,7 +866,7 @@ mod tests {
             "{scalars:?}"
         );
         // Identical rerun passes.
-        let report = diff(&baseline, &baseline_doc(&result), &Tolerances::default());
+        let report = diff(&baseline, &baseline_doc(&result));
         assert!(report.passed(), "{:?}", report.regressions);
         // Planted: the recorded delivery rate drops → the gate fails (the
         // CLI maps this to a nonzero exit).
@@ -904,7 +881,7 @@ mod tests {
                 }
             }
         });
-        let report = diff(&planted, &baseline_doc(&result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(&result));
         assert!(!report.passed());
         assert!(
             report
@@ -929,7 +906,7 @@ mod tests {
                 "missing {name}: {scalars:?}"
             );
         }
-        let report = diff(&baseline, &baseline_doc(&result), &Tolerances::default());
+        let report = diff(&baseline, &baseline_doc(&result));
         assert!(report.passed(), "{:?}", report.regressions);
         // Planted: halve the recorded per-case le_slots means (as if the
         // fresh elections took twice the slots).
@@ -944,7 +921,7 @@ mod tests {
                 }
             }
         });
-        let report = diff(&planted, &baseline_doc(&result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(&result));
         assert!(!report.passed());
         assert!(
             report.regressions.iter().any(|r| r.contains("le_slots")),
@@ -964,7 +941,7 @@ mod tests {
                 pairs.retain(|(k, _)| k != "energy_p95");
             }
         });
-        let report = diff(&planted, &baseline_doc(result), &Tolerances::default());
+        let report = diff(&planted, &baseline_doc(result));
         assert!(report.passed(), "{:?}", report.regressions);
         assert!(
             report

@@ -8,9 +8,9 @@
 //! demonstrates — who wins, how costs grow with `n`, `Δ` and `D`, and
 //! where tradeoff knobs move the balance.
 
-use ebc_core::cluster::{broadcast_theorem16, partition_beta, Theorem16Config};
-use ebc_core::path::{path_broadcast, PathConfig};
-use ebc_core::randomized::{broadcast_theorem11, Theorem11Config};
+use ebc_core::cluster::{broadcast_theorem16, partition_beta};
+use ebc_core::path::path_broadcast;
+use ebc_core::randomized::broadcast_theorem11;
 use std::sync::Arc;
 
 use ebc_core::reduction::{run_reduction, theorem2_lower_bound, DecayMiddle, UniformCdMiddle};
@@ -348,11 +348,6 @@ fn run_table1_randomized(config: &RunConfig, runner: &mut CaseRunner) -> Experim
 
 /// E2 — Theorem 16's `O(D^{1+ε})` time on grids vs Theorem 11.
 fn run_table1_dtime(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let t16 = Theorem16Config {
-        beta_override: Some(0.25),
-        ..Theorem16Config::default()
-    };
-    let t11 = Theorem11Config::default();
     let mut cases = Vec::new();
     for &side in sizes(config, &[8, 12, 16, 22], &[8, 12]) {
         let g = Arc::new(grid(side, side));
@@ -371,9 +366,9 @@ fn run_table1_dtime(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
                 seeds,
                 |s| {
                     if m16 {
-                        broadcast_theorem16(s, 0, &t16).all_informed()
+                        broadcast_theorem16(s, 0, Some(0.25)).all_informed()
                     } else {
-                        broadcast_theorem11(s, 0, &t11).all_informed()
+                        broadcast_theorem11(s, 0).all_informed()
                     }
                 },
             ));
@@ -500,15 +495,11 @@ fn run_fig1_path(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutpu
     for &exp in sizes(config, &[8, 10, 12, 14], &[8, 10]) {
         let n = 1usize << exp;
         let seeds = config.seeds_for_size(5, n, 1 << 8);
-        let cfg = PathConfig {
-            oriented: true,
-            cap_blocking: true,
-        };
         cases.push(runner.run_case(
             vec![("graph", "path".into()), ("n", n.into())],
             seeds,
             |seed| {
-                let (stats, sim) = path_broadcast(n, 0, &cfg, seed);
+                let (stats, sim) = path_broadcast(n, 0, true, seed);
                 assert!(stats.all_informed, "path broadcast failed (seed {seed})");
                 let r = sim.meter().report();
                 vec![

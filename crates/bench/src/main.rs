@@ -35,7 +35,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ebc_bench::baseline::{self, GateOutcome, Tolerances};
+use ebc_bench::baseline::{self, GateOutcome};
 use ebc_bench::cache::{code_digest, CacheStats};
 use ebc_bench::json::Json;
 use ebc_bench::measure::{RunnerProfile, UNLIMITED_BUDGET_MS};
@@ -370,7 +370,7 @@ fn main() -> ExitCode {
         if let Some(dir) = &args.check_against {
             outcomes.push(GateOutcome {
                 experiment: spec.name,
-                report: baseline::check_against(dir, &result, &Tolerances::default()),
+                report: baseline::check_against(dir, &result),
                 cache: result.cache,
             });
         }

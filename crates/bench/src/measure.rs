@@ -513,17 +513,6 @@ impl CaseRunner {
         }
     }
 
-    /// A pass-through runner (no cache) — what library callers and tests
-    /// use when caching is irrelevant.
-    pub fn disabled(experiment: &'static str) -> CaseRunner {
-        CaseRunner {
-            experiment,
-            cache: None,
-            stats: CacheStats::default(),
-            profile: RunnerProfile::default(),
-        }
-    }
-
     /// Records input-construction time (graph builds, dataset loads) to be
     /// attributed to the next cell this runner serves. Shared builds land
     /// on the first consuming cell rather than being double-counted.
@@ -631,7 +620,7 @@ mod tests {
 
     #[test]
     fn profile_attributes_build_sim_and_analysis_per_cell() {
-        let mut runner = CaseRunner::disabled("profile_test");
+        let mut runner = CaseRunner::new("profile_test", &RunConfig::default());
         // Build time recorded before a cell lands on that cell; the next
         // cell, with no build of its own, shows zero.
         runner.note_build(Duration::from_millis(7));

@@ -583,7 +583,10 @@ mod tests {
     /// wants (cache behavior has its own tests in [`crate::cache`] and
     /// the `cache_incremental` integration suite).
     fn run_matrix(config: &RunConfig) -> ExperimentOutput {
-        run_scenario_matrix(config, &mut CaseRunner::disabled("scenario_matrix"))
+        run_scenario_matrix(
+            config,
+            &mut CaseRunner::new("scenario_matrix", &RunConfig::default()),
+        )
     }
 
     /// Quick config with a zero budget, pinned to the clean fault axis:

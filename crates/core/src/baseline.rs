@@ -121,10 +121,10 @@ impl SlotBehavior<u8> for BgiBehavior<'_> {
 /// The decay broadcast of Bar-Yehuda, Goldreich and Itai \[4\] in No-CD.
 ///
 /// Informed vertices run decay sweeps continuously; uninformed vertices
-/// listen continuously. `sweeps` defaults to `2D + O(log n)` (enough
-/// w.h.p.); time is `sweeps · (⌈log Δ⌉ + 1)` slots, and the last vertices
-/// to be informed spend energy close to the full running time.
-pub fn bgi_decay_broadcast(sim: &mut Sim, source: NodeId, sweeps: Option<u32>) -> BroadcastOutcome {
+/// listen continuously. It runs `2D + O(log n)` sweeps (enough w.h.p.)
+/// of `⌈log Δ⌉ + 1` slots each, and the last vertices to be informed
+/// spend energy close to the full running time.
+pub fn bgi_decay_broadcast(sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
     assert!(
         matches!(sim.model(), Model::NoCd | Model::Cd | Model::CdStar),
         "bgi runs on collision channels"
@@ -136,7 +136,7 @@ pub fn bgi_decay_broadcast(sim: &mut Sim, source: NodeId, sweeps: Option<u32>) -
         .graph()
         .eccentricity(source)
         .expect("graph must be connected");
-    let sweeps = sweeps.unwrap_or(2 * d + 6 * logn + 8);
+    let sweeps = 2 * d + 6 * logn + 8;
     let sweep_len = u64::from(ceil_log2(delta + 1)) + 1;
     let participants: Vec<NodeId> = (0..n).collect();
     let mut rngs = NodeRngs::new(sim.seed(), n, 0xb91);
@@ -202,7 +202,7 @@ mod tests {
         for seed in 0..5u64 {
             let g = path(48);
             let mut sim = Sim::new(g, Model::NoCd, seed);
-            let out = bgi_decay_broadcast(&mut sim, 0, None);
+            let out = bgi_decay_broadcast(&mut sim, 0);
             assert!(out.all_informed(), "seed {seed}");
         }
     }
@@ -212,10 +212,10 @@ mod tests {
         for seed in 0..3u64 {
             let g = grid(6, 6);
             let mut sim = Sim::new(g, Model::NoCd, seed);
-            assert!(bgi_decay_broadcast(&mut sim, 0, None).all_informed());
+            assert!(bgi_decay_broadcast(&mut sim, 0).all_informed());
             let g = gnp_connected(40, 0.1, seed);
             let mut sim = Sim::new(g, Model::NoCd, seed + 50);
-            assert!(bgi_decay_broadcast(&mut sim, 0, None).all_informed());
+            assert!(bgi_decay_broadcast(&mut sim, 0).all_informed());
         }
     }
 
@@ -225,7 +225,7 @@ mod tests {
         // constant fraction of total time.
         let g = path(64);
         let mut sim = Sim::new(g, Model::NoCd, 3);
-        bgi_decay_broadcast(&mut sim, 0, None);
+        bgi_decay_broadcast(&mut sim, 0);
         let time = sim.now();
         let e = sim.meter().max_energy();
         assert!(e * 3 >= time, "energy {e} << time {time}");

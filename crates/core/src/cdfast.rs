@@ -1,6 +1,6 @@
 //! The improved randomized CD algorithm (paper §7, Theorem 20):
 //! `O(log n (log log Δ + 1/ξ) / log log log Δ)` energy at the price of
-//! `O(Δ n^{1+ξ})` time.
+//! `O(Δ n^{1+ξ})` time, run at ξ = 0.34.
 //!
 //! Two ideas power the improvement over §5:
 //!
@@ -295,65 +295,36 @@ fn colored_up(
     }
 }
 
-/// Parameters of the Theorem 20 driver.
-#[derive(Debug, Clone)]
-pub struct Theorem20Config {
-    /// The time/energy knob ξ: `n^ξ Δ` colors per coloring and
-    /// `c = ⌈2/ξ⌉` colorings.
-    pub xi: f64,
-    /// Override the outer iteration count
-    /// (default `O(log n / log log log Δ)`).
-    pub iters: Option<u32>,
-    /// Override the §7.2 parameters `(p, s)`.
-    pub ps: Option<(f64, u32)>,
-}
+/// Theorem 20's time/energy knob ξ: `n^ξ Δ` colors per coloring and
+/// `c = ⌈2/ξ⌉` colorings.
+const THEOREM20_XI: f64 = 0.34;
 
-impl Default for Theorem20Config {
-    fn default() -> Self {
-        Theorem20Config {
-            xi: 0.34,
-            iters: None,
-            ps: None,
-        }
-    }
-}
-
-/// Theorem 20: energy
+/// Theorem 20 at ξ = 0.34: energy
 /// `O(log n (log log Δ + 1/ξ) / log log log Δ)`, time `O(Δ n^{1+ξ})`,
 /// in the CD model.
 ///
 /// # Panics
 ///
-/// Panics if the model lacks collision detection or `ξ ∉ (0, 1]`.
-pub fn broadcast_theorem20(
-    sim: &mut Sim,
-    source: NodeId,
-    cfg: &Theorem20Config,
-) -> BroadcastOutcome {
+/// Panics if the model lacks collision detection.
+pub fn broadcast_theorem20(sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
     assert!(
         matches!(sim.model(), Model::Cd | Model::CdStar),
         "Theorem 20 is a CD algorithm"
     );
-    assert!(cfg.xi > 0.0 && cfg.xi <= 1.0);
     let n = sim.graph().n();
     let delta = sim.graph().max_degree().max(1);
-    let c = (2.0 / cfg.xi).ceil() as u32;
-    let num_colors = (((n as f64).powf(cfg.xi) * delta as f64).ceil() as u32).max(2);
+    let c = (2.0 / THEOREM20_XI).ceil() as u32;
+    let num_colors = (((n as f64).powf(THEOREM20_XI) * delta as f64).ceil() as u32).max(2);
     let colors = Colorings::new(sim.seed() ^ 0x7e20, c, num_colors);
     let logn = ceil_log2(n.max(2)) as f64;
     let loglog_delta = ((delta.max(4) as f64).log2().log2()).max(1.0);
-    let (p, s) = cfg.ps.unwrap_or_else(|| {
-        // Paper: p = log^{-1/2} log Δ, s = log log Δ. At simulable sizes
-        // these round to ~(0.7, 2); clamp into a useful range.
-        (
-            (1.0 / loglog_delta.sqrt()).clamp(0.2, 0.7),
-            (loglog_delta.ceil() as u32).max(2),
-        )
-    });
-    let iters = cfg.iters.unwrap_or_else(|| {
-        let lll = loglog_delta.log2().max(0.5);
-        ((3.0 * logn / lll).ceil() as u32).max(4)
-    });
+    // Paper: p = log^{-1/2} log Δ, s = log log Δ. At simulable sizes
+    // these round to ~(0.7, 2); clamp into a useful range.
+    let p = (1.0 / loglog_delta.sqrt()).clamp(0.2, 0.7);
+    let s = (loglog_delta.ceil() as u32).max(2);
+    // O(log n / log log log Δ) outer iterations.
+    let lll = loglog_delta.log2().max(0.5);
+    let iters = ((3.0 * logn / lll).ceil() as u32).max(4);
     // Lemma 8 epochs at the §7 failure rate f = 1/polyloglog Δ — small.
     let epochs = (2.0 * loglog_delta).ceil() as u32 + 6;
     let mut rngs = NodeRngs::new(sim.seed(), n, 0x5e20);
@@ -669,21 +640,16 @@ mod tests {
             ("grid", grid(4, 4)),
         ] {
             let mut sim = Sim::new(g, Model::Cd, 11);
-            let out = broadcast_theorem20(&mut sim, 0, &Theorem20Config::default());
+            let out = broadcast_theorem20(&mut sim, 0);
             assert!(out.all_informed(), "{name}");
         }
     }
 
     #[test]
-    fn theorem20_with_explicit_parameters() {
+    fn theorem20_informs_from_an_inner_source() {
         let g = cycle(24);
         let mut sim = Sim::new(g, Model::Cd, 5);
-        let cfg = Theorem20Config {
-            xi: 0.5,
-            iters: Some(12),
-            ps: Some((0.5, 2)),
-        };
-        let out = broadcast_theorem20(&mut sim, 3, &cfg);
+        let out = broadcast_theorem20(&mut sim, 3);
         assert!(out.all_informed());
     }
 
@@ -692,6 +658,6 @@ mod tests {
     fn theorem20_rejects_local() {
         let g = path(4);
         let mut sim = Sim::new(g, Model::Local, 0);
-        broadcast_theorem20(&mut sim, 0, &Theorem20Config::default());
+        broadcast_theorem20(&mut sim, 0);
     }
 }

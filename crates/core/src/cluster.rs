@@ -513,49 +513,28 @@ pub fn iterate_partition(
     }
 }
 
-/// Parameters of the Theorem 16 driver.
-#[derive(Debug, Clone)]
-pub struct Theorem16Config {
-    /// The time/energy tradeoff parameter ε: `β = 1/log^{1/ε} n`. Larger ε
-    /// → larger β → fewer, cheaper iterations but slower diameter decay.
-    pub epsilon: f64,
-    /// Override β directly (for ablation benches).
-    pub beta_override: Option<f64>,
-    /// Override the iteration count (default `log_{1/3β} D`).
-    pub iters: Option<u32>,
-    /// Sub-rounds per intra-cluster sweep; `None` → the Lemma 17 default
-    /// `Θ(C log n)`.
-    pub sub_rounds: Option<u32>,
-}
-
-impl Default for Theorem16Config {
-    fn default() -> Self {
-        Theorem16Config {
-            epsilon: 0.5,
-            beta_override: None,
-            iters: None,
-            sub_rounds: None,
-        }
-    }
-}
+/// Theorem 16's time/energy tradeoff parameter ε: `β = 1/log^{1/ε} n`.
+/// Larger ε → larger β → fewer, cheaper iterations but slower diameter
+/// decay.
+const THEOREM16_EPSILON: f64 = 0.5;
 
 /// Theorem 16: `O(D^{1+ε} polylog n)`-time, `polylog n`-energy broadcast in
 /// No-CD (or any model, using that model's SR strategy).
 ///
 /// Phase 1 iterates Partition(β) — first on the flat graph, then on the
-/// cluster graph — until the cluster-graph diameter bound drops below the
-/// `O(log² n / β⁴)` floor of Lemma 15; phase 2 runs Lemma 10's broadcast on
-/// the final labeling.
-pub fn broadcast_theorem16(
-    sim: &mut Sim,
-    source: NodeId,
-    cfg: &Theorem16Config,
-) -> BroadcastOutcome {
+/// cluster graph — for `log_{1/3β} D` iterations, until the cluster-graph
+/// diameter bound drops below the `O(log² n / β⁴)` floor of Lemma 15;
+/// phase 2 runs Lemma 10's broadcast on the final labeling.
+///
+/// `beta` pins Partition's β (clamped to `[0.02, 0.45]`) and lowers the
+/// diameter floor to the practical `4 log n`, for ablation runs; `None`
+/// derives `β = 1/log^{1/ε} n` with ε = 1/2.
+pub fn broadcast_theorem16(sim: &mut Sim, source: NodeId, beta: Option<f64>) -> BroadcastOutcome {
+    let pinned = beta.is_some();
     let n = sim.graph().n();
     let logn = ceil_log2(n.max(2)) as f64;
-    let beta = cfg
-        .beta_override
-        .unwrap_or_else(|| logn.powf(-1.0 / cfg.epsilon))
+    let beta = beta
+        .unwrap_or_else(|| logn.powf(-1.0 / THEOREM16_EPSILON))
         .clamp(0.02, 0.45);
     let delta = sim.graph().max_degree().max(1);
     let sr = crate::randomized::default_sr_for(sim.model(), delta, n);
@@ -567,20 +546,17 @@ pub fn broadcast_theorem16(
     // paper's floor is O(log²n/β⁴) — astronomically conservative at
     // simulable sizes — so when the caller pins β explicitly (ablation
     // mode) we use the practical floor 4 log n instead.
-    let floor = if cfg.beta_override.is_some() {
+    let floor = if pinned {
         (4.0 * logn).max(4.0)
     } else {
         (4.0 * logn / beta).max(4.0)
     };
-    let iters = cfg.iters.unwrap_or_else(|| {
-        let mut k = 0u32;
-        let mut cur = d;
-        while cur > floor && 3.0 * beta < 0.95 && k < 24 {
-            cur *= 3.0 * beta;
-            k += 1;
-        }
-        k
-    });
+    let mut iters = 0u32;
+    let mut cur = d;
+    while cur > floor && 3.0 * beta < 0.95 && iters < 24 {
+        cur *= 3.0 * beta;
+        iters += 1;
+    }
     let mut rngs = NodeRngs::new(sim.seed(), n, 0x5e16);
     let mut state = if iters == 0 {
         ClusterState::trivial(n)
@@ -601,9 +577,7 @@ pub fn broadcast_theorem16(
             beta,
             c_bound,
             layer_bound,
-            sub_rounds: cfg
-                .sub_rounds
-                .unwrap_or_else(|| IterateConfig::default_sub_rounds(c_bound, n)),
+            sub_rounds: IterateConfig::default_sub_rounds(c_bound, n),
         };
         sim.span_enter("iterate");
         state = iterate_partition(sim, &state, &icfg, &sr, &mut rngs, 0x17e4 + u64::from(k));
@@ -723,7 +697,7 @@ mod tests {
         for seed in 0..2u64 {
             let g = grid(8, 8);
             let mut sim = Sim::new(g, Model::Local, seed);
-            let out = broadcast_theorem16(&mut sim, 0, &Theorem16Config::default());
+            let out = broadcast_theorem16(&mut sim, 0, None);
             assert!(out.all_informed(), "seed {seed}");
         }
     }
@@ -732,7 +706,7 @@ mod tests {
     fn theorem16_informs_everyone_nocd() {
         let g = grid(6, 6);
         let mut sim = Sim::new(g, Model::NoCd, 5);
-        let out = broadcast_theorem16(&mut sim, 3, &Theorem16Config::default());
+        let out = broadcast_theorem16(&mut sim, 3, None);
         assert!(out.all_informed());
     }
 
@@ -740,11 +714,7 @@ mod tests {
     fn theorem16_beta_override_controls_iterations() {
         let g = cycle(128);
         let mut sim = Sim::new(g, Model::Local, 9);
-        let cfg = Theorem16Config {
-            beta_override: Some(0.3),
-            ..Theorem16Config::default()
-        };
-        let out = broadcast_theorem16(&mut sim, 0, &cfg);
+        let out = broadcast_theorem16(&mut sim, 0, Some(0.3));
         assert!(out.all_informed());
     }
 

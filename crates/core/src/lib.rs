@@ -21,13 +21,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use ebc_core::randomized::{broadcast_theorem11, Theorem11Config};
+//! use ebc_core::randomized::broadcast_theorem11;
 //! use ebc_graphs::random::bounded_degree;
 //! use ebc_radio::{Model, Sim};
 //!
 //! let g = bounded_degree(64, 4, 1.5, 7);
 //! let mut sim = Sim::new(g, Model::NoCd, 42);
-//! let out = broadcast_theorem11(&mut sim, 0, &Theorem11Config::default());
+//! let out = broadcast_theorem11(&mut sim, 0);
 //! assert!(out.all_informed());
 //! println!("time = {} slots, max energy = {}", sim.now(), sim.meter().max_energy());
 //! ```

@@ -6,7 +6,7 @@
 //! its color's slot, and listens only in its neighbors' color slots — no
 //! two vertices within distance 2 ever transmit together.
 //!
-//! * [`learn_degree`] — `C·Δ·log n` slots in which each vertex transmits its
+//! * [`learn_degree`] — `8·Δ·log n` slots in which each vertex transmits its
 //!   id with probability `1/Δ`; w.h.p. every vertex learns all neighbor ids
 //!   (Lemma 4).
 //! * [`two_hop_coloring`] — the iterated propose/announce/fix protocol of
@@ -59,13 +59,13 @@ impl SlotBehavior<NodeId> for LearnDegreeBehavior<'_> {
     }
 }
 
-/// Algorithm *Learn-degree* (§3.1): for `C·Δ·log n` slots each vertex sends
+/// Algorithm *Learn-degree* (§3.1): for `8·Δ·log n` slots each vertex sends
 /// its id with probability `1/Δ`, otherwise listens. W.h.p. every vertex
 /// learns the ids of all its neighbors (Lemma 4, coupon collection).
-pub fn learn_degree(sim: &mut Sim, c: f64, rngs: &mut NodeRngs) -> NeighborKnowledge {
+pub fn learn_degree(sim: &mut Sim, rngs: &mut NodeRngs) -> NeighborKnowledge {
     let n = sim.graph().n();
     let delta = sim.graph().max_degree().max(1);
-    let slots = (c * delta as f64 * (ceil_log2(n.max(2)) as f64)).ceil() as u64;
+    let slots = (8.0 * delta as f64 * (ceil_log2(n.max(2)) as f64)).ceil() as u64;
     let participants: Vec<NodeId> = (0..n).collect();
     let mut b = LearnDegreeBehavior {
         delta,
@@ -140,20 +140,19 @@ impl SlotBehavior<ColorMsg> for ColoringBehavior<'_> {
 /// energy.
 ///
 /// `knowledge` must list each vertex's neighbors (from [`learn_degree`]).
-/// `iters` defaults to `C log n` when `None`.
+/// It runs `4⌈log₂ n⌉ + 8` propose/announce/fix iterations.
 ///
 /// Returns `(colors, num_colors)`.
 pub fn two_hop_coloring(
     sim: &mut Sim,
     knowledge: &NeighborKnowledge,
-    iters: Option<u32>,
     rngs: &mut NodeRngs,
     coin_rngs: &mut NodeRngs,
 ) -> (Vec<u32>, u32) {
     let n = sim.graph().n();
     let delta = sim.graph().max_degree().max(1);
     let num_colors = (2 * delta * delta) as u32;
-    let iters = iters.unwrap_or(4 * ceil_log2(n.max(2)) + 8);
+    let iters = 4 * ceil_log2(n.max(2)) + 8;
     // Per iteration: Θ(Δ (log Δ + 1)) announcement slots, plus a margin so
     // each vertex hears each neighbor ~twice (Lemma 5's two coupon phases).
     let slots_per_iter = (8.0 * delta as f64 * ((ceil_log2(delta + 1) as f64) + 2.0)).ceil() as u64;
@@ -228,8 +227,8 @@ pub fn is_two_hop_proper(g: &ebc_radio::Graph, colors: &[u32]) -> bool {
 /// overhead, which is how Corollary 13 gets `O(n log n)` time and
 /// `O(log n)` energy on bounded-degree graphs.
 pub fn build_tdma(sim: &mut Sim, rngs: &mut NodeRngs, coin_rngs: &mut NodeRngs) -> Sr {
-    let knowledge = learn_degree(sim, 8.0, rngs);
-    let (colors, num_colors) = two_hop_coloring(sim, &knowledge, None, rngs, coin_rngs);
+    let knowledge = learn_degree(sim, rngs);
+    let (colors, num_colors) = two_hop_coloring(sim, &knowledge, rngs, coin_rngs);
     Sr::Tdma {
         colors: std::sync::Arc::new(colors),
         num_colors,
@@ -252,7 +251,7 @@ mod tests {
         let g = path(16);
         let mut sim = Sim::new(g.clone(), Model::NoCd, 3);
         let (mut r, _) = rngs2(3, 16);
-        let k = learn_degree(&mut sim, 8.0, &mut r);
+        let k = learn_degree(&mut sim, &mut r);
         assert!(k.complete(&g));
     }
 
@@ -261,7 +260,7 @@ mod tests {
         let g = grid(5, 5);
         let mut sim = Sim::new(g.clone(), Model::NoCd, 4);
         let (mut r, _) = rngs2(4, 25);
-        let k = learn_degree(&mut sim, 8.0, &mut r);
+        let k = learn_degree(&mut sim, &mut r);
         assert!(k.complete(&g));
     }
 
@@ -270,8 +269,8 @@ mod tests {
         let g = path(64);
         let mut sim = Sim::new(g.clone(), Model::NoCd, 5);
         let (mut r, _) = rngs2(5, 64);
-        learn_degree(&mut sim, 8.0, &mut r);
-        // Every vertex is active every slot: energy == slots == C·Δ·log n.
+        learn_degree(&mut sim, &mut r);
+        // Every vertex is active every slot: energy == slots == 8·Δ·log n.
         let expect = 8 * 2 * ceil_log2(64) as u64;
         assert_eq!(sim.meter().max_energy(), expect);
     }
@@ -281,9 +280,9 @@ mod tests {
         let g = cycle(24);
         let mut sim = Sim::new(g.clone(), Model::NoCd, 6);
         let (mut r, mut c) = rngs2(6, 24);
-        let k = learn_degree(&mut sim, 8.0, &mut r);
+        let k = learn_degree(&mut sim, &mut r);
         assert!(k.complete(&g));
-        let (colors, num) = two_hop_coloring(&mut sim, &k, None, &mut r, &mut c);
+        let (colors, num) = two_hop_coloring(&mut sim, &k, &mut r, &mut c);
         assert!(colors.iter().all(|&x| x < num));
         assert!(is_two_hop_proper(&g, &colors));
     }
@@ -294,9 +293,9 @@ mod tests {
             let g = bounded_degree(40, 4, 1.5, seed);
             let mut sim = Sim::new(g.clone(), Model::NoCd, seed);
             let (mut r, mut c) = rngs2(seed, 40);
-            let k = learn_degree(&mut sim, 8.0, &mut r);
+            let k = learn_degree(&mut sim, &mut r);
             assert!(k.complete(&g), "seed {seed}");
-            let (colors, _) = two_hop_coloring(&mut sim, &k, None, &mut r, &mut c);
+            let (colors, _) = two_hop_coloring(&mut sim, &k, &mut r, &mut c);
             assert!(is_two_hop_proper(&g, &colors), "seed {seed}");
         }
     }

@@ -122,13 +122,7 @@ struct PathProtocol {
 }
 
 impl PathProtocol {
-    fn new(
-        n: usize,
-        source: NodeId,
-        oriented: bool,
-        cap: Option<u64>,
-        rngs: &mut NodeRngs,
-    ) -> Self {
+    fn new(n: usize, source: NodeId, oriented: bool, rngs: &mut NodeRngs) -> Self {
         let mut insts: Vec<Vec<Inst>> = Vec::with_capacity(n);
         for v in 0..n {
             let mut list = Vec::new();
@@ -139,7 +133,7 @@ impl PathProtocol {
                     &[Dir::Right, Dir::Left]
                 };
                 for &dir in dirs {
-                    let b = sample_blocking_time(rngs.get(v), cap);
+                    let b = sample_blocking_time(rngs.get(v), n as u64);
                     list.push(Inst {
                         dir,
                         b,
@@ -209,7 +203,7 @@ impl PathProtocol {
     }
 }
 
-fn sample_blocking_time(rng: &mut impl Rng, cap: Option<u64>) -> Slot {
+fn sample_blocking_time(rng: &mut impl Rng, n: u64) -> Slot {
     let mut b = 1u32;
     while rng.gen_bool(0.5) {
         b += 1;
@@ -217,11 +211,7 @@ fn sample_blocking_time(rng: &mut impl Rng, cap: Option<u64>) -> Slot {
             break;
         }
     }
-    let raw = 1u64 << b;
-    match cap {
-        Some(n) => raw.min(n.next_power_of_two()),
-        None => raw,
-    }
+    (1u64 << b).min(n.next_power_of_two())
 }
 
 impl SlotBehavior<PathMsg> for PathProtocol {
@@ -389,58 +379,38 @@ impl SlotBehavior<PathMsg> for PathProtocol {
     }
 }
 
-/// Configuration for [`run_path_broadcast`].
-#[derive(Debug, Clone)]
-pub struct PathConfig {
-    /// If `true`, vertices know the payload flows low → high (the §8.1
-    /// "knows upstream/downstream" model; source must be vertex 0). If
-    /// `false`, every vertex runs both mirrored instances.
-    pub oriented: bool,
-    /// Cap blocking times at `n` (the paper's default). `false` reproduces
-    /// the §8.2.1 unknown-`n` remark: expected time infinite, but `O(n)`
-    /// with probability `1 − ε`.
-    pub cap_blocking: bool,
-}
-
-impl Default for PathConfig {
-    fn default() -> Self {
-        PathConfig {
-            oriented: false,
-            cap_blocking: true,
-        }
-    }
-}
-
 /// Runs Algorithm 1 on the path `sim.graph()` (which must be the
 /// `0–1–…–(n−1)` path) from `source`, drawing randomness from
 /// `sim.seed()`.
 ///
+/// If `oriented`, vertices know the payload flows low → high (the §8.1
+/// "knows upstream/downstream" model; `source` must be vertex 0); if not,
+/// every vertex runs both mirrored instances. Blocking times are always
+/// capped at `n`, so the §8.2.1 unknown-`n` remark (uncapped blocking
+/// times: expected time infinite, but `O(n)` with probability `1 − ε`) is
+/// not simulated.
+///
 /// The run is one [`Schedule::Dynamic`] drive over every vertex. Wakes
-/// past the slot budget (`8n + 64` with capped blocking times) are
-/// dropped. The returned slots count from the drive's first slot.
+/// past the slot budget `8n + 64` are dropped. The returned slots count
+/// from the drive's first slot.
 ///
 /// # Panics
 ///
 /// Panics if the graph is not that path or `oriented` is set with
 /// `source != 0`.
-pub fn run_path_broadcast(sim: &mut Sim, source: NodeId, cfg: &PathConfig) -> PathRunStats {
+pub fn run_path_broadcast(sim: &mut Sim, source: NodeId, oriented: bool) -> PathRunStats {
     let n = sim.graph().n();
     assert!(
         n >= 2 && sim.graph().m() == n - 1 && (0..n - 1).all(|v| sim.graph().has_edge(v, v + 1)),
         "graph must be the 0–1–…–(n−1) path"
     );
     assert!(
-        !cfg.oriented || source == 0,
+        !oriented || source == 0,
         "oriented mode assumes the source is vertex 0"
     );
     let mut rngs = NodeRngs::new(sim.seed(), n, 0x9a78);
-    let cap = cfg.cap_blocking.then_some(n as u64);
-    let mut proto = PathProtocol::new(n, source, cfg.oriented, cap, &mut rngs);
-    let budget = if cfg.cap_blocking {
-        8 * n as u64 + 64
-    } else {
-        1 << 40
-    };
+    let mut proto = PathProtocol::new(n, source, oriented, &mut rngs);
+    let budget = 8 * n as u64 + 64;
     let participants: Vec<NodeId> = (0..n).collect();
     sim.drive(
         Schedule::Dynamic {
@@ -466,14 +436,9 @@ pub fn run_path_broadcast(sim: &mut Sim, source: NodeId, cfg: &PathConfig) -> Pa
 /// Convenience: build a LOCAL simulation over the `n`-path and run the
 /// broadcast, returning the stats and the simulation (for energy
 /// inspection).
-pub fn path_broadcast(
-    n: usize,
-    source: NodeId,
-    cfg: &PathConfig,
-    seed: u64,
-) -> (PathRunStats, Sim) {
+pub fn path_broadcast(n: usize, source: NodeId, oriented: bool, seed: u64) -> (PathRunStats, Sim) {
     let mut sim = Sim::new(ebc_graphs::deterministic::path(n), Model::Local, seed);
-    let stats = run_path_broadcast(&mut sim, source, cfg);
+    let stats = run_path_broadcast(&mut sim, source, oriented);
     (stats, sim)
 }
 
@@ -484,15 +449,7 @@ mod tests {
     #[test]
     fn oriented_informs_everyone() {
         for seed in 0..10u64 {
-            let (stats, _) = path_broadcast(
-                64,
-                0,
-                &PathConfig {
-                    oriented: true,
-                    cap_blocking: true,
-                },
-                seed,
-            );
+            let (stats, _) = path_broadcast(64, 0, true, seed);
             assert!(stats.all_informed, "seed {seed}");
         }
     }
@@ -500,7 +457,7 @@ mod tests {
     #[test]
     fn unoriented_informs_everyone_from_the_middle() {
         for seed in 0..10u64 {
-            let (stats, _) = path_broadcast(65, 32, &PathConfig::default(), seed);
+            let (stats, _) = path_broadcast(65, 32, false, seed);
             assert!(stats.all_informed, "seed {seed}");
         }
     }
@@ -508,7 +465,7 @@ mod tests {
     #[test]
     fn unoriented_source_at_end() {
         for seed in 0..5u64 {
-            let (stats, _) = path_broadcast(32, 31, &PathConfig::default(), seed);
+            let (stats, _) = path_broadcast(32, 31, false, seed);
             assert!(stats.all_informed, "seed {seed}");
         }
     }
@@ -519,15 +476,7 @@ mod tests {
         // at the end).
         let n = 128;
         for seed in 0..10u64 {
-            let (stats, _) = path_broadcast(
-                n,
-                0,
-                &PathConfig {
-                    oriented: true,
-                    cap_blocking: true,
-                },
-                seed,
-            );
+            let (stats, _) = path_broadcast(n, 0, true, seed);
             assert!(stats.all_informed);
             assert!(
                 stats.delivery_time <= 2 * n as u64,
@@ -545,15 +494,7 @@ mod tests {
         let mut total_mean = 0.0;
         let runs = 5;
         for seed in 0..runs {
-            let (stats, sim) = path_broadcast(
-                n,
-                0,
-                &PathConfig {
-                    oriented: true,
-                    cap_blocking: true,
-                },
-                seed,
-            );
+            let (stats, sim) = path_broadcast(n, 0, true, seed);
             assert!(stats.all_informed);
             total_mean += sim.meter().report().mean;
         }
@@ -565,16 +506,8 @@ mod tests {
     #[test]
     fn unoriented_costs_at_most_a_small_multiple() {
         let n = 256;
-        let (_, e1) = path_broadcast(
-            n,
-            0,
-            &PathConfig {
-                oriented: true,
-                cap_blocking: true,
-            },
-            3,
-        );
-        let (_, e2) = path_broadcast(n, 0, &PathConfig::default(), 3);
+        let (_, e1) = path_broadcast(n, 0, true, 3);
+        let (_, e2) = path_broadcast(n, 0, false, 3);
         assert!(
             e2.meter().report().mean <= 3.0 * e1.meter().report().mean + 4.0,
             "{} vs {}",
@@ -587,40 +520,22 @@ mod tests {
     fn blocking_times_are_powers_of_two_capped() {
         let mut rngs = NodeRngs::new(9, 1, 0);
         for _ in 0..200 {
-            let b = sample_blocking_time(rngs.get(0), Some(64));
+            let b = sample_blocking_time(rngs.get(0), 64);
             assert!(b.is_power_of_two());
             assert!(b <= 64);
         }
     }
 
     #[test]
-    fn uncapped_blocking_times_can_exceed_n() {
-        let mut rngs = NodeRngs::new(10, 1, 0);
-        let mut max = 0;
-        for _ in 0..10_000 {
-            max = max.max(sample_blocking_time(rngs.get(0), None));
-        }
-        assert!(max > 64, "max = {max}");
-    }
-
-    #[test]
     fn two_vertex_path() {
-        let (stats, _) = path_broadcast(2, 0, &PathConfig::default(), 1);
+        let (stats, _) = path_broadcast(2, 0, false, 1);
         assert!(stats.all_informed);
         assert!(stats.delivery_time <= 8);
     }
 
     #[test]
     fn delivery_slots_monotone_with_distance_oriented() {
-        let (stats, _) = path_broadcast(
-            64,
-            0,
-            &PathConfig {
-                oriented: true,
-                cap_blocking: true,
-            },
-            5,
-        );
+        let (stats, _) = path_broadcast(64, 0, true, 5);
         assert!(stats.all_informed);
         let slots: Vec<Slot> = stats.delivery_slot.iter().map(|s| s.unwrap()).collect();
         for w in slots.windows(2) {

@@ -9,7 +9,7 @@
 //! | [`broadcast_theorem11`] | LOCAL | `O(n log n)` | `O(log n)` |
 //! | [`broadcast_theorem11`] | No-CD | `O(n log Δ log² n)` | `O(log Δ log² n)` |
 //! | [`broadcast_theorem11`] | CD | `O(n log Δ log² n)` | `O(log² n)` |
-//! | [`broadcast_theorem12`] | CD | `O(n log Δ log^{2+ε} n / (ε log log n))` | `O(log² n / (ε log log n))` |
+//! | [`broadcast_theorem12`] (ε = 1/2) | CD | `O(n log Δ log^{2+ε} n / (ε log log n))` | `O(log² n / (ε log log n))` |
 //! | [`broadcast_corollary13`] | No-CD, `Δ = O(1)` | `O(n log n)` | `O(log n)` |
 
 use ebc_radio::{Model, NodeId, Sim};
@@ -50,110 +50,69 @@ pub fn default_sr_for(model: Model, delta: usize, n: usize) -> Sr {
     }
 }
 
-/// Parameters of the Theorem 11 driver.
-#[derive(Debug, Clone)]
-pub struct Theorem11Config {
-    /// Relabeling iterations; `None` → `3·⌈log₂ n⌉ + 16` (enough for the
-    /// root count to hit 1 w.h.p. at `p = 1/2, s = 1`).
-    pub relabel_iters: Option<u32>,
-    /// The `G_L` diameter bound handed to Lemma 10; with a single root, 0
-    /// suffices — 1 adds slack against the rare two-root outcome.
-    pub d_bound: u32,
-    /// Override the SR strategy (else [`default_sr_for`]).
-    pub sr: Option<Sr>,
-}
-
-impl Default for Theorem11Config {
-    fn default() -> Self {
-        Theorem11Config {
-            relabel_iters: None,
-            d_bound: 1,
-            sr: None,
-        }
-    }
-}
-
 /// Theorem 11: broadcast via iterated relabeling with `p = 1/2, s = 1`.
 ///
 /// Works in every collision model; the strategy (and thus the cost) adapts
 /// to `sim.model()`.
-pub fn broadcast_theorem11(
-    sim: &mut Sim,
-    source: NodeId,
-    cfg: &Theorem11Config,
-) -> BroadcastOutcome {
+pub fn broadcast_theorem11(sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
     let n = sim.graph().n();
     let delta = sim.graph().max_degree().max(1);
-    let sr = cfg
-        .sr
-        .clone()
-        .unwrap_or_else(|| default_sr_for(sim.model(), delta, n));
-    let iters = cfg.relabel_iters.unwrap_or(3 * ceil_log2(n.max(2)) + 16);
+    let sr = default_sr_for(sim.model(), delta, n);
+    theorem11_with(sim, source, &sr)
+}
+
+/// Theorem 11's relabeling and Lemma 10 broadcast over the SR strategy `sr`.
+fn theorem11_with(sim: &mut Sim, source: NodeId, sr: &Sr) -> BroadcastOutcome {
+    let n = sim.graph().n();
+    // Enough for the root count to hit 1 w.h.p. at `p = 1/2, s = 1`.
+    let iters = 3 * ceil_log2(n.max(2)) + 16;
+    // The `G_L` diameter bound handed to Lemma 10; with a single root, 0
+    // suffices — 1 adds slack against the rare two-root outcome.
+    let d_bound = 1;
     let layer_bound = n as u32;
     let mut rngs = NodeRngs::new(sim.seed(), n, 0x5e11);
     let mut coins = NodeRngs::new(sim.seed(), n, 0xc011);
     let mut l = Labeling::all_zero(n);
     for _ in 0..iters {
         sim.span_enter("relabel");
-        l = relabel(sim, &l, 0.5, 1, layer_bound, &sr, &mut rngs, &mut coins);
+        l = relabel(sim, &l, 0.5, 1, layer_bound, sr, &mut rngs, &mut coins);
         sim.span_exit();
         if sim.telemetry_enabled() {
             sim.record_gauge("layer0", sim.now(), l.layer0_count() as f64);
         }
     }
     sim.span_enter("broadcast");
-    let out = broadcast_with_labeling(sim, &l, source, layer_bound, cfg.d_bound, &sr, &mut rngs);
+    let out = broadcast_with_labeling(sim, &l, source, layer_bound, d_bound, sr, &mut rngs);
     sim.span_exit();
     out
 }
 
-/// Parameters of the Theorem 12 driver.
-#[derive(Debug, Clone)]
-pub struct Theorem12Config {
-    /// The tradeoff parameter ε ∈ (0, 1).
-    pub epsilon: f64,
-    /// Override the relabeling iteration count.
-    pub relabel_iters: Option<u32>,
-}
+/// Theorem 12's tradeoff parameter ε.
+const THEOREM12_EPSILON: f64 = 0.5;
 
-impl Default for Theorem12Config {
-    fn default() -> Self {
-        Theorem12Config {
-            epsilon: 0.5,
-            relabel_iters: None,
-        }
-    }
-}
-
-/// Theorem 12 (CD only): relabeling with `p = log^{-ε/2} n`, `s = log n`
-/// shrinks the root count by a `log^{ε/2} n` factor per iteration, so
-/// `O(log n / (ε log log n))` iterations reach ≤ `log n` roots; Lemma 10
-/// with `d = log n` finishes. Energy `O(log² n / (ε log log n))`.
+/// Theorem 12 (CD only) at ε = 1/2: relabeling with `p = log^{-ε/2} n`,
+/// `s = log n` shrinks the root count by a `log^{ε/2} n` factor per
+/// iteration, so `O(log n / (ε log log n))` iterations reach ≤ `log n`
+/// roots; Lemma 10 with `d = log n` finishes. Energy
+/// `O(log² n / (ε log log n))`.
 ///
 /// # Panics
 ///
-/// Panics if the model lacks collision detection or ε ∉ (0, 1].
-pub fn broadcast_theorem12(
-    sim: &mut Sim,
-    source: NodeId,
-    cfg: &Theorem12Config,
-) -> BroadcastOutcome {
+/// Panics if the model lacks collision detection.
+pub fn broadcast_theorem12(sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
     assert!(
         matches!(sim.model(), Model::Cd | Model::CdStar),
         "Theorem 12 is a CD algorithm"
     );
-    assert!(cfg.epsilon > 0.0 && cfg.epsilon <= 1.0);
     let n = sim.graph().n();
     let delta = sim.graph().max_degree().max(1);
     let logn = ceil_log2(n.max(2)) as f64;
     let sr = default_sr_for(sim.model(), delta, n);
-    let p = logn.powf(-cfg.epsilon / 2.0).clamp(0.01, 0.9);
+    let p = logn.powf(-THEOREM12_EPSILON / 2.0).clamp(0.01, 0.9);
     let s = logn.ceil() as u32;
-    let iters = cfg.relabel_iters.unwrap_or_else(|| {
-        // O(log n / (ε log log n)) iterations, with a safety constant.
-        let denom = (cfg.epsilon * logn.log2().max(1.0)).max(0.5);
-        (3.0 * logn / denom).ceil() as u32 + 8
-    });
+    // O(log n / (ε log log n)) iterations, with a safety constant.
+    let denom = (THEOREM12_EPSILON * logn.log2().max(1.0)).max(0.5);
+    let iters = (3.0 * logn / denom).ceil() as u32 + 8;
     let layer_bound = n as u32;
     let mut rngs = NodeRngs::new(sim.seed(), n, 0x5e12);
     let mut coins = NodeRngs::new(sim.seed(), n, 0xc012);
@@ -184,11 +143,7 @@ pub fn broadcast_corollary13(sim: &mut Sim, source: NodeId) -> BroadcastOutcome 
     sim.span_enter("tdma_build");
     let sr = build_tdma(sim, &mut rngs, &mut coins);
     sim.span_exit();
-    let cfg = Theorem11Config {
-        sr: Some(sr),
-        ..Theorem11Config::default()
-    };
-    broadcast_theorem11(sim, source, &cfg)
+    theorem11_with(sim, source, &sr)
 }
 
 #[cfg(test)]
@@ -202,7 +157,7 @@ mod tests {
         for seed in 0..3u64 {
             let g = gnp_connected(48, 0.08, seed);
             let mut sim = Sim::new(g, Model::Local, seed);
-            let out = broadcast_theorem11(&mut sim, 0, &Theorem11Config::default());
+            let out = broadcast_theorem11(&mut sim, 0);
             assert!(out.all_informed(), "seed {seed}");
         }
     }
@@ -211,7 +166,7 @@ mod tests {
     fn theorem11_local_energy_logarithmic() {
         let g = cycle(256);
         let mut sim = Sim::new(g, Model::Local, 11);
-        let out = broadcast_theorem11(&mut sim, 0, &Theorem11Config::default());
+        let out = broadcast_theorem11(&mut sim, 0);
         assert!(out.all_informed());
         // O(log n): generous constant for the 8-bit log.
         assert!(
@@ -226,7 +181,7 @@ mod tests {
         for seed in 0..3u64 {
             let g = bounded_degree(40, 4, 1.2, seed);
             let mut sim = Sim::new(g, Model::NoCd, seed + 100);
-            let out = broadcast_theorem11(&mut sim, 3, &Theorem11Config::default());
+            let out = broadcast_theorem11(&mut sim, 3);
             assert!(out.all_informed(), "seed {seed}");
         }
     }
@@ -236,7 +191,7 @@ mod tests {
         for seed in 0..3u64 {
             let g = grid(6, 6);
             let mut sim = Sim::new(g, Model::Cd, seed + 7);
-            let out = broadcast_theorem11(&mut sim, 5, &Theorem11Config::default());
+            let out = broadcast_theorem11(&mut sim, 5);
             assert!(out.all_informed(), "seed {seed}");
         }
     }
@@ -245,7 +200,7 @@ mod tests {
     fn theorem11_handles_high_contention() {
         let g = cluster_chain(4, 8, 3);
         let mut sim = Sim::new(g, Model::NoCd, 9);
-        let out = broadcast_theorem11(&mut sim, 0, &Theorem11Config::default());
+        let out = broadcast_theorem11(&mut sim, 0);
         assert!(out.all_informed());
     }
 
@@ -254,7 +209,7 @@ mod tests {
         for seed in 0..2u64 {
             let g = grid(5, 5);
             let mut sim = Sim::new(g, Model::Cd, seed + 21);
-            let out = broadcast_theorem12(&mut sim, 0, &Theorem12Config::default());
+            let out = broadcast_theorem12(&mut sim, 0);
             assert!(out.all_informed(), "seed {seed}");
         }
     }
@@ -264,7 +219,7 @@ mod tests {
     fn theorem12_rejects_nocd() {
         let g = path(8);
         let mut sim = Sim::new(g, Model::NoCd, 0);
-        broadcast_theorem12(&mut sim, 0, &Theorem12Config::default());
+        broadcast_theorem12(&mut sim, 0);
     }
 
     #[test]
@@ -284,7 +239,7 @@ mod tests {
         let out = broadcast_corollary13(&mut tdma_sim, 0);
         assert!(out.all_informed());
         let mut decay_sim = Sim::new(g, Model::NoCd, 5);
-        let out2 = broadcast_theorem11(&mut decay_sim, 0, &Theorem11Config::default());
+        let out2 = broadcast_theorem11(&mut decay_sim, 0);
         assert!(out2.all_informed());
         assert!(
             tdma_sim.meter().max_energy() < decay_sim.meter().max_energy(),

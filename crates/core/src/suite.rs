@@ -7,9 +7,9 @@
 //! points.
 //!
 //! Each adapter is *n-aware*: iteration counts, repetition counts, and
-//! tradeoff knobs are derived from the instance (`n`, `Δ`, `D`) at run
-//! time via the algorithms' own default-config scaling, so one registry
-//! entry covers every size.
+//! tradeoff parameters are derived from the instance (`n`, `Δ`, `D`) at
+//! run time by the algorithms' own scaling, so one registry entry covers
+//! every size.
 //!
 //! ```
 //! use ebc_core::suite::{by_name, ALGORITHMS};
@@ -25,14 +25,11 @@
 use ebc_radio::{Graph, Model, NodeId, Sim};
 
 use crate::baseline::{bgi_decay_broadcast, flood_local};
-use crate::cdfast::{broadcast_theorem20, Theorem20Config};
-use crate::cluster::{broadcast_theorem16, Theorem16Config};
+use crate::cdfast::broadcast_theorem20;
+use crate::cluster::broadcast_theorem16;
 use crate::det::{broadcast_det_cd, broadcast_det_local, DetCdConfig, DetLocalConfig};
-use crate::path::{run_path_broadcast, PathConfig};
-use crate::randomized::{
-    broadcast_corollary13, broadcast_theorem11, broadcast_theorem12, Theorem11Config,
-    Theorem12Config,
-};
+use crate::path::run_path_broadcast;
+use crate::randomized::{broadcast_corollary13, broadcast_theorem11, broadcast_theorem12};
 use crate::BroadcastOutcome;
 
 /// A broadcast algorithm as a uniform, object-safe strategy.
@@ -78,7 +75,7 @@ pub trait BroadcastAlgorithm: Sync {
         true
     }
 
-    /// Runs the algorithm on `sim` from `source`. All default parameters
+    /// Runs the algorithm on `sim` from `source`. All its parameters
     /// scale with the instance (`n`, `Δ`, `D`).
     ///
     /// # Panics
@@ -109,7 +106,7 @@ impl BroadcastAlgorithm for Theorem11 {
     }
     fn run(&self, sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
         sim.span_enter(self.name());
-        let out = broadcast_theorem11(sim, source, &Theorem11Config::default());
+        let out = broadcast_theorem11(sim, source);
         sim.span_exit();
         out
     }
@@ -128,7 +125,7 @@ impl BroadcastAlgorithm for Theorem12 {
     }
     fn run(&self, sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
         sim.span_enter(self.name());
-        let out = broadcast_theorem12(sim, source, &Theorem12Config::default());
+        let out = broadcast_theorem12(sim, source);
         sim.span_exit();
         out
     }
@@ -171,7 +168,7 @@ impl BroadcastAlgorithm for Theorem16 {
     }
     fn run(&self, sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
         sim.span_enter(self.name());
-        let out = broadcast_theorem16(sim, source, &Theorem16Config::default());
+        let out = broadcast_theorem16(sim, source, None);
         sim.span_exit();
         out
     }
@@ -193,7 +190,7 @@ impl BroadcastAlgorithm for Theorem20 {
     }
     fn run(&self, sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
         sim.span_enter(self.name());
-        let out = broadcast_theorem20(sim, source, &Theorem20Config::default());
+        let out = broadcast_theorem20(sim, source);
         sim.span_exit();
         out
     }
@@ -227,7 +224,7 @@ impl BroadcastAlgorithm for PathAlgorithm {
         // whole sub-run as one skip.
         sim.span_enter(self.name());
         let mut private = Sim::new(sim.graph_arc().clone(), sim.model(), sim.seed());
-        let stats = run_path_broadcast(&mut private, source, &PathConfig::default());
+        let stats = run_path_broadcast(&mut private, source, false);
         sim.absorb_meter(private.meter());
         sim.skip(stats.quiescence + 1);
         sim.span_exit();
@@ -315,7 +312,7 @@ impl BroadcastAlgorithm for BgiDecay {
     }
     fn run(&self, sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
         sim.span_enter(self.name());
-        let out = bgi_decay_broadcast(sim, source, None);
+        let out = bgi_decay_broadcast(sim, source);
         sim.span_exit();
         out
     }

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example energy_time_tradeoff`
 
-use ebc_core::cluster::{broadcast_theorem16, Theorem16Config};
-use ebc_core::randomized::{broadcast_theorem11, Theorem11Config};
+use ebc_core::cluster::broadcast_theorem16;
+use ebc_core::randomized::broadcast_theorem11;
 use ebc_radio::{Model, Sim};
 
 fn main() {
@@ -19,11 +19,7 @@ fn main() {
 
     for beta in [0.4, 0.3, 0.2, 0.1] {
         let mut sim = Sim::new(graph.clone(), Model::NoCd, 77);
-        let cfg = Theorem16Config {
-            beta_override: Some(beta),
-            ..Theorem16Config::default()
-        };
-        let out = broadcast_theorem16(&mut sim, 0, &cfg);
+        let out = broadcast_theorem16(&mut sim, 0, Some(beta));
         assert!(out.all_informed());
         let r = sim.meter().report();
         println!(
@@ -36,7 +32,7 @@ fn main() {
     }
 
     let mut sim = Sim::new(graph, Model::NoCd, 77);
-    let out = broadcast_theorem11(&mut sim, 0, &Theorem11Config::default());
+    let out = broadcast_theorem11(&mut sim, 0);
     assert!(out.all_informed());
     let r = sim.meter().report();
     println!(

@@ -4,9 +4,7 @@
 //! Run with: `cargo run --release --example model_comparison`
 
 use ebc_core::det::{broadcast_det_cd, broadcast_det_local, DetCdConfig, DetLocalConfig};
-use ebc_core::randomized::{
-    broadcast_theorem11, broadcast_theorem12, Theorem11Config, Theorem12Config,
-};
+use ebc_core::randomized::{broadcast_theorem11, broadcast_theorem12};
 use ebc_radio::{Model, Sim};
 
 fn main() {
@@ -31,16 +29,16 @@ fn main() {
     };
 
     row("Thm 11, randomized LOCAL", Model::Local, &mut |sim| {
-        broadcast_theorem11(sim, 0, &Theorem11Config::default()).all_informed()
+        broadcast_theorem11(sim, 0).all_informed()
     });
     row("Thm 11, randomized CD", Model::Cd, &mut |sim| {
-        broadcast_theorem11(sim, 0, &Theorem11Config::default()).all_informed()
+        broadcast_theorem11(sim, 0).all_informed()
     });
     row("Thm 11, randomized No-CD", Model::NoCd, &mut |sim| {
-        broadcast_theorem11(sim, 0, &Theorem11Config::default()).all_informed()
+        broadcast_theorem11(sim, 0).all_informed()
     });
     row("Thm 12, randomized CD (ε=0.5)", Model::Cd, &mut |sim| {
-        broadcast_theorem12(sim, 0, &Theorem12Config::default()).all_informed()
+        broadcast_theorem12(sim, 0).all_informed()
     });
     row("Thm 25, deterministic LOCAL", Model::Local, &mut |sim| {
         broadcast_det_local(sim, 0, &DetLocalConfig::default()).all_informed()

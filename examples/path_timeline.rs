@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example path_timeline`
 
-use ebc_core::path::{run_path_broadcast, PathConfig};
+use ebc_core::path::run_path_broadcast;
 use ebc_radio::{EventKind, Model, Sim};
 
 fn main() {
@@ -17,11 +17,7 @@ fn main() {
     let g = ebc_graphs::deterministic::path(n);
     let mut sim = Sim::new(g, Model::Local, seed);
     sim.enable_telemetry();
-    let cfg = PathConfig {
-        oriented: true,
-        cap_blocking: true,
-    };
-    let stats = run_path_broadcast(&mut sim, 0, &cfg);
+    let stats = run_path_broadcast(&mut sim, 0, true);
     assert!(stats.all_informed);
 
     let max_slot = stats.quiescence as usize;

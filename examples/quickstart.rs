@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ebc_core::baseline::bgi_decay_broadcast;
-use ebc_core::randomized::{broadcast_theorem11, Theorem11Config};
+use ebc_core::randomized::broadcast_theorem11;
 use ebc_graphs::deterministic::cycle;
 use ebc_radio::{Model, Sim};
 
@@ -23,12 +23,12 @@ fn main() {
     for n in [128usize, 512, 2048] {
         let g = cycle(n);
         let mut sim = Sim::new(g.clone(), Model::NoCd, 7);
-        let out = broadcast_theorem11(&mut sim, 0, &Theorem11Config::default());
+        let out = broadcast_theorem11(&mut sim, 0);
         assert!(out.all_informed(), "broadcast must reach everyone");
         let e_t11 = sim.meter().max_energy();
 
         let mut sim = Sim::new(g, Model::NoCd, 7);
-        let out = bgi_decay_broadcast(&mut sim, 0, None);
+        let out = bgi_decay_broadcast(&mut sim, 0);
         assert!(out.all_informed());
         let e_bgi = sim.meter().max_energy();
 

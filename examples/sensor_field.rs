@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example sensor_field`
 
 use ebc_core::baseline::bgi_decay_broadcast;
-use ebc_core::cluster::{broadcast_theorem16, Theorem16Config};
-use ebc_core::randomized::{broadcast_corollary13, broadcast_theorem11, Theorem11Config};
+use ebc_core::cluster::broadcast_theorem16;
+use ebc_core::randomized::{broadcast_corollary13, broadcast_theorem11};
 use ebc_graphs::deterministic::grid;
 use ebc_radio::{Model, Sim};
 
@@ -36,20 +36,16 @@ fn main() {
     };
 
     row("BGI decay [4]", &mut |sim| {
-        bgi_decay_broadcast(sim, 0, None).all_informed()
+        bgi_decay_broadcast(sim, 0).all_informed()
     });
     row("Theorem 11 (clustering)", &mut |sim| {
-        broadcast_theorem11(sim, 0, &Theorem11Config::default()).all_informed()
+        broadcast_theorem11(sim, 0).all_informed()
     });
     row("Corollary 13 (TDMA)", &mut |sim| {
         broadcast_corollary13(sim, 0).all_informed()
     });
     row("Theorem 16 (β = 0.25)", &mut |sim| {
-        let cfg = Theorem16Config {
-            beta_override: Some(0.25),
-            ..Theorem16Config::default()
-        };
-        broadcast_theorem16(sim, 0, &cfg).all_informed()
+        broadcast_theorem16(sim, 0, Some(0.25)).all_informed()
     });
 
     println!(

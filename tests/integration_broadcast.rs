@@ -3,14 +3,11 @@
 //! measured costs must sit in the regime the paper's Table 1 predicts.
 
 use ebc_core::baseline::{bgi_decay_broadcast, flood_local};
-use ebc_core::cdfast::{broadcast_theorem20, Theorem20Config};
-use ebc_core::cluster::{broadcast_theorem16, Theorem16Config};
+use ebc_core::cdfast::broadcast_theorem20;
+use ebc_core::cluster::broadcast_theorem16;
 use ebc_core::det::{broadcast_det_cd, broadcast_det_local, DetCdConfig, DetLocalConfig};
-use ebc_core::path::{path_broadcast, PathConfig};
-use ebc_core::randomized::{
-    broadcast_corollary13, broadcast_theorem11, broadcast_theorem12, Theorem11Config,
-    Theorem12Config,
-};
+use ebc_core::path::path_broadcast;
+use ebc_core::randomized::{broadcast_corollary13, broadcast_theorem11, broadcast_theorem12};
 use ebc_graphs::families::Family;
 use ebc_radio::{Model, Sim};
 
@@ -29,7 +26,7 @@ fn theorem11_informs_everyone_across_families_and_models() {
         for model in [Model::Local, Model::NoCd, Model::Cd] {
             let inst = fam.instance(48, 11);
             let mut sim = Sim::new(inst.graph, model, 5);
-            let out = broadcast_theorem11(&mut sim, 0, &Theorem11Config::default());
+            let out = broadcast_theorem11(&mut sim, 0);
             assert!(out.all_informed(), "{} / {model}", inst.name);
         }
     }
@@ -40,7 +37,7 @@ fn theorem12_informs_everyone_across_families() {
     for fam in FAMILIES {
         let inst = fam.instance(40, 3);
         let mut sim = Sim::new(inst.graph, Model::Cd, 9);
-        let out = broadcast_theorem12(&mut sim, 1, &Theorem12Config::default());
+        let out = broadcast_theorem12(&mut sim, 1);
         assert!(out.all_informed(), "{}", inst.name);
     }
 }
@@ -50,11 +47,7 @@ fn theorem16_informs_everyone_on_long_diameter_graphs() {
     for fam in [Family::Cycle, Family::Ladder, Family::Grid] {
         let inst = fam.instance(64, 5);
         let mut sim = Sim::new(inst.graph, Model::NoCd, 31);
-        let cfg = Theorem16Config {
-            beta_override: Some(0.3),
-            ..Theorem16Config::default()
-        };
-        let out = broadcast_theorem16(&mut sim, 0, &cfg);
+        let out = broadcast_theorem16(&mut sim, 0, Some(0.3));
         assert!(out.all_informed(), "{}", inst.name);
     }
 }
@@ -64,7 +57,7 @@ fn theorem20_informs_everyone() {
     for fam in [Family::Path, Family::Grid, Family::BoundedDeg4] {
         let inst = fam.instance(32, 8);
         let mut sim = Sim::new(inst.graph, Model::Cd, 21);
-        let out = broadcast_theorem20(&mut sim, 0, &Theorem20Config::default());
+        let out = broadcast_theorem20(&mut sim, 0);
         assert!(out.all_informed(), "{}", inst.name);
     }
 }
@@ -77,7 +70,7 @@ fn corollary13_beats_decay_energy_on_constant_degree() {
     let mut tdma = Sim::new(inst.graph.clone(), Model::NoCd, 4);
     assert!(broadcast_corollary13(&mut tdma, 0).all_informed());
     let mut generic = Sim::new(inst.graph, Model::NoCd, 4);
-    assert!(broadcast_theorem11(&mut generic, 0, &Theorem11Config::default()).all_informed());
+    assert!(broadcast_theorem11(&mut generic, 0).all_informed());
     assert!(
         tdma.meter().max_energy() < generic.meter().max_energy(),
         "tdma {} !< generic {}",
@@ -115,13 +108,13 @@ fn energy_hierarchy_matches_table1_on_cycles() {
     let energy_t11 = |n: usize, model: Model| -> u64 {
         let g = ebc_graphs::deterministic::cycle(n);
         let mut sim = Sim::new(g, model, 13);
-        assert!(broadcast_theorem11(&mut sim, 0, &Theorem11Config::default()).all_informed());
+        assert!(broadcast_theorem11(&mut sim, 0).all_informed());
         sim.meter().max_energy()
     };
     let energy_bgi = |n: usize| -> u64 {
         let g = ebc_graphs::deterministic::cycle(n);
         let mut sim = Sim::new(g, Model::NoCd, 13);
-        assert!(bgi_decay_broadcast(&mut sim, 0, None).all_informed());
+        assert!(bgi_decay_broadcast(&mut sim, 0).all_informed());
         sim.meter().max_energy()
     };
     assert!(
@@ -149,7 +142,7 @@ fn flood_time_is_diameter_but_energy_is_not_constant() {
 #[test]
 fn path_algorithm_full_pipeline() {
     for seed in 0..5 {
-        let (stats, sim) = path_broadcast(256, 128, &PathConfig::default(), seed);
+        let (stats, sim) = path_broadcast(256, 128, false, seed);
         assert!(stats.all_informed, "seed {seed}");
         // Time within a constant of n even from the middle.
         assert!(stats.delivery_time <= 3 * 256);
@@ -165,7 +158,7 @@ fn sources_other_than_zero_work_everywhere() {
     for src in [1, n / 2, n - 1] {
         let mut sim = Sim::new(inst.graph.clone(), Model::NoCd, 3);
         assert!(
-            broadcast_theorem11(&mut sim, src, &Theorem11Config::default()).all_informed(),
+            broadcast_theorem11(&mut sim, src).all_informed(),
             "source {src}"
         );
     }

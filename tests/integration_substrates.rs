@@ -46,9 +46,9 @@ fn tdma_preprocessing_enables_collision_free_srcomm() {
     let mut sim = Sim::new(g.clone(), Model::NoCd, 3);
     let mut rngs = NodeRngs::new(3, 48, 1);
     let mut coins = NodeRngs::new(3, 48, 2);
-    let knowledge = learn_degree(&mut sim, 8.0, &mut rngs);
+    let knowledge = learn_degree(&mut sim, &mut rngs);
     assert!(knowledge.complete(&g));
-    let (colors, _) = two_hop_coloring(&mut sim, &knowledge, None, &mut rngs, &mut coins);
+    let (colors, _) = two_hop_coloring(&mut sim, &knowledge, &mut rngs, &mut coins);
     assert!(is_two_hop_proper(&g, &colors));
 }
 
