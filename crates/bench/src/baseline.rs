@@ -1067,6 +1067,26 @@ mod tests {
         assert!(!md.contains("worst diffs"), "{md}");
     }
 
+    #[test]
+    fn checked_in_baselines_are_exactly_the_registered_experiments() {
+        // The gate reads only registered experiments' files and
+        // `--update-baselines` deletes none, so an orphan is never gated.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-baselines");
+        let mut stems: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        stems.sort_unstable();
+        let mut names: Vec<&str> = crate::experiments::EXPERIMENTS
+            .iter()
+            .map(|s| s.name)
+            .collect();
+        names.sort_unstable();
+        assert_eq!(stems, names, "bench-baselines/ vs the registry");
+    }
+
     fn plant(doc: &Json, mutate: impl Fn(&mut Json)) -> Json {
         plant_section(doc, "cases", mutate)
     }

@@ -1,5 +1,9 @@
-//! The experiment registry: every row of the paper's Table 1 and every
-//! figure, as a structured, parallel, JSON-serializable experiment.
+//! The experiment registry: the measurements no scenario-matrix cell
+//! makes, as structured, parallel, JSON-serializable experiments. Each
+//! Table 1 row's time and energy on a family is a matrix cell
+//! ([`crate::scenario`]); the experiments here add what those cells do not
+//! measure: Theorem 16 at a pinned β, Theorem 2's reduction, the path
+//! algorithm's `2n` deadline, and the SR and `Partition(β)` ablations.
 //!
 //! Each experiment is a pure function `RunConfig -> Vec<Case>`; the
 //! [`ExperimentSpec`] wraps it with its name, human context, and the
@@ -15,10 +19,9 @@ use std::sync::Arc;
 
 use ebc_core::reduction::{run_reduction, theorem2_lower_bound, DecayMiddle, UniformCdMiddle};
 use ebc_core::srcomm::Sr;
-use ebc_core::suite;
 use ebc_core::util::NodeRngs;
 use ebc_graphs::deterministic::{cycle, grid, k2k, star};
-use ebc_radio::{Graph, Model, Sim};
+use ebc_radio::{Model, Sim};
 
 use crate::cache::CacheStats;
 use crate::json::Json;
@@ -299,54 +302,7 @@ fn sizes<'a>(config: &RunConfig, full: &'a [usize], quick: &'a [usize]) -> &'a [
     }
 }
 
-/// One broadcast case that runs the registered algorithm `algorithm` (an
-/// [`ebc_core::suite`] name, with its default, instance-scaled
-/// configuration) from vertex 0 of `g`.
-fn registry_case(
-    runner: &mut CaseRunner,
-    params: Vec<(&'static str, Json)>,
-    algorithm: &str,
-    g: &Arc<Graph>,
-    model: Model,
-    seeds: u64,
-) -> Case {
-    let alg = suite::by_name(algorithm)
-        .unwrap_or_else(|| panic!("{algorithm:?} is not a registered algorithm"));
-    runner.run_broadcast_case(params, g, model, seeds, |s| alg.run(s, 0).all_informed())
-}
-
-/// The parameters of a Table 1 row on a cycle.
-fn cycle_row(n: usize, algorithm: &str, model: Model) -> Vec<(&'static str, Json)> {
-    vec![
-        ("graph", "cycle".into()),
-        ("n", n.into()),
-        ("algorithm", algorithm.into()),
-        ("model", model_name(model).into()),
-    ]
-}
-
-/// E1/E5/E7 — Table 1 randomized rows: Theorem 11 under LOCAL / CD /
-/// No-CD and Theorem 12 under CD, swept over `n` on rings.
-fn run_table1_randomized(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let mut cases = Vec::new();
-    for &n in sizes(config, &[64, 128, 256, 512], &[64, 128]) {
-        let g = Arc::new(cycle(n));
-        let variants: &[(&'static str, Model, u64)] = &[
-            ("theorem11", Model::Local, 3),
-            ("theorem11", Model::Cd, 3),
-            ("theorem11", Model::NoCd, 3),
-            ("theorem12", Model::Cd, 2),
-        ];
-        for &(algorithm, model, full_seeds) in variants {
-            let seeds = config.seeds_for_size(full_seeds, n, 64);
-            let params = cycle_row(n, algorithm, model);
-            cases.push(registry_case(runner, params, algorithm, &g, model, seeds));
-        }
-    }
-    cases.into()
-}
-
-/// E2 — Theorem 16's `O(D^{1+ε})` time on grids vs Theorem 11.
+/// Theorem 16's `O(D^{1+ε})` time on grids vs Theorem 11.
 fn run_table1_dtime(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
     let mut cases = Vec::new();
     for &side in sizes(config, &[8, 12, 16, 22], &[8, 12]) {
@@ -377,28 +333,7 @@ fn run_table1_dtime(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
     cases.into()
 }
 
-/// E3 — Corollary 13: bounded-degree No-CD via LOCAL simulation.
-fn run_table1_bounded(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let mut cases = Vec::new();
-    for &n in sizes(config, &[64, 128, 256, 512], &[64, 128]) {
-        let g = Arc::new(cycle(n));
-        let seeds = config.seeds_for_size(2, n, 64);
-        for algorithm in ["corollary13", "theorem11"] {
-            let params = cycle_row(n, algorithm, Model::NoCd);
-            cases.push(registry_case(
-                runner,
-                params,
-                algorithm,
-                &g,
-                Model::NoCd,
-                seeds,
-            ));
-        }
-    }
-    cases.into()
-}
-
-/// E4 — the Theorem 2 reduction on `K_{2,k}`: leader-election slot counts
+/// The Theorem 2 reduction on `K_{2,k}`: leader-election slot counts
 /// against the analytic lower bounds, plus broadcast energy on the gadget.
 fn run_table1_lower(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
     let mut cases = Vec::new();
@@ -429,8 +364,7 @@ fn run_table1_lower(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
         // Broadcast energy on the gadget itself (Theorem 11, CD): always
         // far above the reduction-derived bound.
         let g = Arc::new(k2k(k));
-        cases.push(registry_case(
-            runner,
+        cases.push(runner.run_broadcast_case(
             vec![
                 ("gadget", "k2k".into()),
                 ("k", k.into()),
@@ -441,54 +375,16 @@ fn run_table1_lower(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOu
                     theorem2_lower_bound(Model::Cd, k, 0.01).into(),
                 ),
             ],
-            "theorem11",
             &g,
             Model::Cd,
             config.seeds_for_size(2, k, 8),
+            |s| broadcast_theorem11(s, 0).all_informed(),
         ));
     }
     cases.into()
 }
 
-/// E6 — Theorem 20: lower CD energy bought with much more time.
-fn run_table1_cdfast(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let mut cases = Vec::new();
-    for &n in sizes(config, &[32, 64, 128], &[32, 64]) {
-        let g = Arc::new(cycle(n));
-        let seeds = config.seeds_for_size(2, n, 32);
-        for algorithm in ["theorem20", "theorem11"] {
-            let params = cycle_row(n, algorithm, Model::Cd);
-            cases.push(registry_case(
-                runner,
-                params,
-                algorithm,
-                &g,
-                Model::Cd,
-                seeds,
-            ));
-        }
-    }
-    cases.into()
-}
-
-/// E8/E9 — deterministic rows (Theorems 25 and 27); a single seed, the
-/// algorithms are deterministic.
-fn run_table1_det(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let mut cases = Vec::new();
-    for &n in sizes(config, &[16, 32, 64], &[16, 32]) {
-        let g = Arc::new(cycle(n));
-        for (label, algorithm, model) in [
-            ("theorem25", "det_local_theorem25", Model::Local),
-            ("theorem27", "det_cd_theorem27", Model::Cd),
-        ] {
-            let params = cycle_row(n, label, model);
-            cases.push(registry_case(runner, params, algorithm, &g, model, 1));
-        }
-    }
-    cases.into()
-}
-
-/// E10/E11 — the §8 path algorithm: ≤ 2n delivery time at `O(log n)`
+/// The §8 path algorithm: ≤ 2n delivery time at `O(log n)`
 /// expected per-vertex energy.
 fn run_fig1_path(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
     let mut cases = Vec::new();
@@ -517,7 +413,7 @@ fn run_fig1_path(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutpu
     cases.into()
 }
 
-/// E12 — ablations: SR-primitive receiver energies (Lemmas 7/8 vs the CD
+/// Ablations: SR-primitive receiver energies (Lemmas 7/8 vs the CD
 /// transform) and `Partition(β)` statistics (Lemmas 14/15).
 fn run_ablation(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
     let mut cases = Vec::new();
@@ -597,28 +493,6 @@ fn run_ablation(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput
     cases.into()
 }
 
-/// E13 — the baseline gap: BGI decay's `Θ(D)` energy vs Theorem 11's
-/// polylog, on growing rings.
-fn run_baseline_gap(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutput {
-    let mut cases = Vec::new();
-    for &n in sizes(config, &[128, 256, 512, 1024], &[128, 256]) {
-        let g = Arc::new(cycle(n));
-        let seeds = config.seeds_for_size(2, n, 128);
-        for algorithm in ["theorem11", "bgi_decay"] {
-            let params = cycle_row(n, algorithm, Model::NoCd);
-            cases.push(registry_case(
-                runner,
-                params,
-                algorithm,
-                &g,
-                Model::NoCd,
-                seeds,
-            ));
-        }
-    }
-    cases.into()
-}
-
 pub(crate) fn model_name(model: Model) -> &'static str {
     match model {
         Model::NoCd => "no-cd",
@@ -632,27 +506,11 @@ pub(crate) fn model_name(model: Model) -> &'static str {
 /// Every experiment, in presentation order.
 pub const EXPERIMENTS: &[ExperimentSpec] = &[
     ExperimentSpec {
-        name: "table1_randomized",
-        title: "Table 1 randomized rows (Theorems 11, 12)",
-        paper: "LOCAL: O(n log n) time, O(log n) energy | No-CD: O(n logΔ log²n), O(logΔ log²n) | CD: O(log²n/(ε loglog n)) energy",
-        note: "times grow ~linearly in n; energies grow polylog (compare log²n)",
-        run: run_table1_randomized,
-        gate: None,
-    },
-    ExperimentSpec {
         name: "table1_dtime",
         title: "Table 1 No-CD row 2 (Theorem 16, D^{1+ε} time)",
         paper: "O(D^{1+ε} log^{O(1/ε)} n) time vs Theorem 11's O(n logΔ log²n); on grids D = 2√n ≪ n",
         note: "Theorem 11's time scales with n, Theorem 16's with D·polylog — the gap widens as the grid grows",
         run: run_table1_dtime,
-        gate: None,
-    },
-    ExperimentSpec {
-        name: "table1_bounded",
-        title: "Table 1 No-CD row 3 (Corollary 13, Δ = O(1))",
-        paper: "O(n log n) time, O(log n) energy on bounded-degree graphs",
-        note: "Corollary 13's energy grows like log n and undercuts the generic No-CD pipeline",
-        run: run_table1_bounded,
         gate: None,
     },
     ExperimentSpec {
@@ -662,22 +520,6 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         note: "No-CD election time grows with log k; CD stays near-flat (loglog k); broadcast energy dominates the bound",
         run: run_table1_lower,
         gate: Some(gate_table1_lower),
-    },
-    ExperimentSpec {
-        name: "table1_cdfast",
-        title: "Table 1 CD row 2 (Theorem 20)",
-        paper: "O(log n (loglogΔ + 1/ξ)/logloglogΔ) energy at O(Δ n^{1+ξ}) time",
-        note: "Theorem 20 buys lower energy with (much) more time, per the paper's tradeoff",
-        run: run_table1_cdfast,
-        gate: None,
-    },
-    ExperimentSpec {
-        name: "table1_det",
-        title: "Table 1 deterministic rows (Theorems 25, 27)",
-        paper: "LOCAL: O(n log n log N) time, O(log n log N) energy | CD: O(nN² log n log N) time, O(log³N log n) energy",
-        note: "both deterministic energies grow polylog; Theorem 27's clock is polynomial (N² factor)",
-        run: run_table1_det,
-        gate: None,
     },
     ExperimentSpec {
         name: "fig1_path",
@@ -693,14 +535,6 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         paper: "decay: O(logΔ log 1/f) receiver energy vs CD transform: O(loglogΔ + log 1/f); Partition(β): edge-cut ≤ 2β, diameter ×3β",
         note: "measured cut fractions sit under 2β; cluster-graph diameters under 3βD",
         run: run_ablation,
-        gate: None,
-    },
-    ExperimentSpec {
-        name: "baseline_gap",
-        title: "Baseline gap (BGI decay vs Theorem 11)",
-        paper: "BGI energy grows Θ(D); Theorem 11's grows polylog",
-        note: "doubling n doubles BGI's energy; Theorem 11's is nearly flat (asymptotic claim, large constants)",
-        run: run_baseline_gap,
         gate: None,
     },
     ExperimentSpec {
@@ -736,8 +570,8 @@ mod tests {
     #[test]
     fn find_experiment_exact_and_substring() {
         assert_eq!(
-            find_experiment("table1_randomized").unwrap().name,
-            "table1_randomized"
+            find_experiment("table1_lower").unwrap().name,
+            "table1_lower"
         );
         assert_eq!(find_experiment("path").unwrap().name, "fig1_path");
         // Ambiguous substring resolves to nothing.
@@ -752,7 +586,7 @@ mod tests {
             quick: true,
             ..RunConfig::default()
         };
-        let spec = find_experiment("table1_det").unwrap();
+        let spec = find_experiment("table1_lower").unwrap();
         let result = run_experiment(spec, &config);
         assert!(!result.cases.is_empty());
         let doc = result.to_json().to_string_pretty();
@@ -778,7 +612,7 @@ mod tests {
             quick: true,
             ..RunConfig::default()
         };
-        let spec = find_experiment("table1_det").unwrap();
+        let spec = find_experiment("table1_lower").unwrap();
         let a = run_experiment(spec, &config).to_json().to_string_pretty();
         let b = run_experiment(spec, &config).to_json().to_string_pretty();
         assert_eq!(a, b);

@@ -127,15 +127,15 @@ mod tests {
             quick: true,
             ..RunConfig::default()
         };
-        let result = run_experiment(find_experiment("table1_det").unwrap(), &config);
+        let result = run_experiment(find_experiment("table1_lower").unwrap(), &config);
         let paths = write_result_files(&result, &dir).unwrap();
         assert_eq!(paths.len(), 1, "{paths:?}");
         assert_eq!(
             paths[0].file_name().unwrap().to_str().unwrap(),
-            "BENCH_table1_det.json"
+            "BENCH_table1_lower.json"
         );
         let body = std::fs::read_to_string(&paths[0]).unwrap();
-        assert!(body.contains("\"experiment\": \"table1_det\""), "{body}");
+        assert!(body.contains("\"experiment\": \"table1_lower\""), "{body}");
         std::fs::remove_file(&paths[0]).ok();
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p ebc-bench -- --list
-//! cargo run --release -p ebc-bench -- --experiment table1_randomized --quick
+//! cargo run --release -p ebc-bench -- --experiment fig1_path --quick
 //! cargo run --release -p ebc-bench -- --seeds 10 --out-dir results/
 //! cargo run --release -p ebc-bench -- --update-baselines
 //! cargo run --release -p ebc-bench -- --quick --check-against bench-baselines

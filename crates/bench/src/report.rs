@@ -241,9 +241,9 @@ mod tests {
             quick: true,
             ..RunConfig::default()
         };
-        let result = run_experiment(find_experiment("table1_det").unwrap(), &config);
+        let result = run_experiment(find_experiment("table1_lower").unwrap(), &config);
         let text = render(&result);
-        assert!(text.contains("theorem25"), "{text}");
+        assert!(text.contains("broadcast_theorem11"), "{text}");
         assert!(text.contains("energy_max"), "{text}");
         assert!(text.contains("shape:"), "{text}");
         // Every metric gets its bootstrap-CI-width companion column.
@@ -266,7 +266,7 @@ mod tests {
             quick: true,
             ..RunConfig::default()
         };
-        let spec = find_experiment("table1_randomized").unwrap();
+        let spec = find_experiment("fig1_path").unwrap();
         let a = render(&run_experiment(spec, &config));
         let b = render(&run_experiment(spec, &config));
         assert_eq!(a, b);

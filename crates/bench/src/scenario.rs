@@ -2,8 +2,9 @@
 //! graph family, collision model, and size.
 //!
 //! The paper's Table 1 spans four messaging models and eight-plus
-//! algorithms; the per-row experiments in [`crate::experiments`] each pin
-//! one algorithm to one or two topologies. This runner sweeps the full
+//! algorithms, and this matrix is the one place each row's time and
+//! energy is measured; the experiments in [`crate::experiments`] add
+//! only what no cell measures. This runner sweeps the full
 //! `Family × Model × algorithm × n` cross-product through the
 //! [`ebc_core::suite`] registry, filtering — and *counting* — the
 //! incompatible pairs (a CD-only algorithm under No-CD, the §8 path

@@ -21,7 +21,7 @@ fn quick_config(cache_dir: &std::path::Path) -> RunConfig {
 fn warm_rerun_executes_zero_cells_and_emits_identical_documents() {
     let dir = std::env::temp_dir().join("ebc_cache_incremental");
     std::fs::remove_dir_all(&dir).ok();
-    let spec = find_experiment("table1_det").unwrap();
+    let spec = find_experiment("table1_lower").unwrap();
     let config = quick_config(&dir);
 
     let cold = run_experiment(spec, &config);

@@ -183,8 +183,9 @@ enum CMsg {
 /// hears its own cluster without interference from the ≤ `c_bound` others.
 ///
 /// `senders`: `(vertex, message, group key)`. `receivers`: `(vertex,
-/// accept)` where `accept` filters messages. Returns first accepted message
-/// per receiver.
+/// group key)`; a receiver listens only in sub-rounds where its own group
+/// is active, so `accept(message, key)` may take only messages from the
+/// receiver's own group. Returns first accepted message per receiver.
 #[allow(clippy::too_many_arguments)]
 fn subsampled_sr(
     sim: &mut Sim,
@@ -209,28 +210,21 @@ fn subsampled_sr(
             .filter(|(_, _, grp)| active(*grp))
             .map(|(v, m, _)| (*v, m.clone()))
             .collect();
-        let r: Vec<NodeId> = receivers
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| got[*i].is_none())
-            .map(|(_, (v, _))| *v)
+        // Lemma 17: a receiver hears its own cluster, which speaks only
+        // when active, so it listens only then.
+        let listening: Vec<usize> = (0..receivers.len())
+            .filter(|&i| got[i].is_none() && active(receivers[i].1))
             .collect();
-        if s.is_empty() && r.is_empty() {
+        if s.is_empty() && listening.is_empty() {
             sim.skip(sr.round_slots());
             continue;
         }
+        let r: Vec<NodeId> = listening.iter().map(|&i| receivers[i].0).collect();
         let res = sr.run(sim, &s, &r, rngs);
-        let mut ri = 0;
-        for (i, (_, key)) in receivers.iter().enumerate() {
-            if got[i].is_some() {
-                continue;
+        for (&i, m) in listening.iter().zip(res) {
+            if let Some(m) = m.filter(|m| accept(m, receivers[i].1)) {
+                got[i] = Some(m);
             }
-            if let Some(m) = &res[ri] {
-                if accept(m, *key) {
-                    got[i] = Some(m.clone());
-                }
-            }
-            ri += 1;
         }
     }
     receivers

@@ -49,6 +49,15 @@ fn theorem16_informs_everyone_on_long_diameter_graphs() {
         let mut sim = Sim::new(inst.graph, Model::NoCd, 31);
         let out = broadcast_theorem16(&mut sim, 0, Some(0.3));
         assert!(out.all_informed(), "{}", inst.name);
+        // Lemma 17: a receiver listens only while its own cluster is
+        // active. One that listens through every sub-round exceeds this
+        // ceiling (over 5·10^6 on the cycle).
+        assert!(
+            sim.meter().max_energy() <= 1_000_000,
+            "{}: E max {}",
+            inst.name,
+            sim.meter().max_energy()
+        );
     }
 }
 
