@@ -2,17 +2,16 @@
 //! registered experiment.
 //!
 //! [`baseline_doc`] distills one experiment run into a compact,
-//! diff-friendly document: per-case summary means, the experiment's gate
-//! scalars ([`ExperimentResult::gate_scalars`]: e.g. `fig1_path`'s
-//! `within_2n` rate, Theorem 2's slot counts), and — where the cases form
-//! `(algorithm, family, model)` cells — fitted scaling exponents with
-//! their bootstrap CIs.
+//! diff-friendly document: the per-case summary mean of every recorded
+//! metric and — where the cases form `(algorithm, family, model)` cells —
+//! fitted scaling exponents with their bootstrap CIs.
 //! `--update-baselines` writes one `bench-baselines/<experiment>.json`
 //! per registered experiment; `--check-against <dir>` re-runs each
 //! experiment, builds the same document fresh, and diffs the two — a
 //! nonzero exit on any out-of-tolerance drift gates PRs on correctness
-//! (absolute means and scalars) *and* asymptotics (exponents and growth
-//! classes).
+//! (absolute per-case means) *and* asymptotics (exponents and growth
+//! classes). Cases and fits the baseline lacks are notes, not
+//! regressions: new coverage gates once a refresh records it.
 //!
 //! Exponents gate on **CI overlap**, not a fixed band: a drift only
 //! regresses when the baseline and fresh bootstrap intervals exclude each
@@ -20,7 +19,7 @@
 //! `class_confident` fits whose CIs exclude each other (anything softer
 //! is reported as a note) — quick-mode fits over ~4 n-points are noisy
 //! enough that a hand-tuned band either trips on seed noise or masks
-//! real drift. Means and scalars keep a relative
+//! real drift. Per-case means keep a relative
 //! tolerance, [`METRIC_REL_TOLERANCE`] (exponents without a CI fall back
 //! to the absolute band [`EXPONENT_ABS_TOLERANCE`]): sweeps are
 //! deterministic given their seeds, so in CI those diffs are normally
@@ -32,7 +31,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::analysis::{ci_from_json, FIT_METRICS};
-use crate::cache::CacheStats;
+use crate::cache::{canon_param, CacheStats};
 use crate::experiments::ExperimentResult;
 use crate::json::Json;
 use crate::measure::Case;
@@ -43,7 +42,7 @@ pub fn baseline_path(dir: &Path, experiment: &str) -> PathBuf {
     dir.join(format!("{experiment}.json"))
 }
 
-/// Maximum relative drift of a per-case summary mean or gate scalar.
+/// Maximum relative drift of a per-case summary mean.
 pub const METRIC_REL_TOLERANCE: f64 = 0.10;
 
 /// Maximum absolute drift of a fitted power-law exponent — the fallback
@@ -67,16 +66,6 @@ impl DiffReport {
     }
 }
 
-fn param_value(v: &Json) -> String {
-    match v {
-        Json::Str(s) => s.clone(),
-        Json::Int(i) => i.to_string(),
-        Json::Num(x) => format!("{x}"),
-        Json::Bool(b) => b.to_string(),
-        other => format!("{other:?}"),
-    }
-}
-
 /// The stable identity of one case: every param as `key=value`, joined
 /// with `/`. Works for any experiment's parameter shape (the matrix's
 /// `(algorithm, family, model, n)` cells, `fig1_path`'s `(graph, n)`,
@@ -84,20 +73,15 @@ fn param_value(v: &Json) -> String {
 fn case_key(case: &Case) -> String {
     case.params
         .iter()
-        .map(|(k, v)| format!("{k}={}", param_value(v)))
+        .map(|(k, v)| format!("{k}={}", canon_param(v)))
         .collect::<Vec<_>>()
         .join("/")
 }
 
 /// Distills `result` into the baseline document the gate stores and
-/// diffs: gate scalars, per-case summary means of every recorded metric,
-/// and per-cell fits with bootstrap exponent CIs.
+/// diffs: per-case summary means of every recorded metric, and per-cell
+/// fits with bootstrap exponent CIs.
 pub fn baseline_doc(result: &ExperimentResult) -> Json {
-    let scalars = result
-        .gate_scalars()
-        .into_iter()
-        .map(|s| Json::obj().field("scalar", s.name).field("value", s.value))
-        .collect();
     let mut cases = Vec::new();
     for case in &result.cases {
         let mut obj = Json::obj().field("case", case_key(case));
@@ -123,7 +107,6 @@ pub fn baseline_doc(result: &ExperimentResult) -> Json {
                 .field("quick", result.config.quick)
                 .field("seeds", result.config.seeds.map_or(Json::Null, Json::from)),
         )
-        .field("scalars", Json::Arr(scalars))
         .field("cases", Json::Arr(cases))
         .field("fits", Json::Arr(fit_rows))
 }
@@ -155,12 +138,13 @@ fn fit_rows_from_json(fits: &Json) -> Vec<Json> {
     rows
 }
 
-fn rows_by_key<'a>(doc: &'a Json, section: &str, key: &str) -> Vec<(&'a str, &'a Json)> {
-    doc.get(section)
+/// The `cases` rows of a baseline document, keyed by their `case` field.
+fn case_rows(doc: &Json) -> Vec<(&str, &Json)> {
+    doc.get("cases")
         .and_then(Json::as_arr)
         .map(|rows| {
             rows.iter()
-                .filter_map(|r| r.get(key).and_then(Json::as_str).map(|k| (k, r)))
+                .filter_map(|r| r.get("case").and_then(Json::as_str).map(|k| (k, r)))
                 .collect()
         })
         .unwrap_or_default()
@@ -178,19 +162,13 @@ fn cis_disjoint(a: (f64, f64), b: (f64, f64)) -> bool {
     a.1 < b.0 || b.1 < a.0
 }
 
-/// Diffs the metric fields (everything except the `key` field) of one
-/// baseline row against its fresh counterpart, with relative tolerance.
-fn diff_row_metrics(
-    report: &mut DiffReport,
-    kind: &str,
-    key: &str,
-    base_row: &Json,
-    fresh_row: &Json,
-    key_field: &str,
-) {
+/// Diffs the metric fields (everything except the `case` key) of one
+/// baseline case row against its fresh counterpart, with relative
+/// tolerance.
+fn diff_case_metrics(report: &mut DiffReport, key: &str, base_row: &Json, fresh_row: &Json) {
     let Json::Obj(pairs) = base_row else { return };
     for (metric, base_value) in pairs {
-        if metric == key_field {
+        if metric == "case" {
             continue;
         }
         let b = base_value.as_f64();
@@ -200,7 +178,7 @@ fn diff_row_metrics(
                 let drift = rel_drift(b, f);
                 if drift > METRIC_REL_TOLERANCE {
                     report.regressions.push(format!(
-                        "{kind} {key}: {metric} drifted {:+.1}% (baseline {b}, fresh {f}, \
+                        "case {key}: {metric} drifted {:+.1}% (baseline {b}, fresh {f}, \
                          tolerance ±{:.0}%)",
                         100.0 * (f - b) / b.abs().max(1e-12),
                         100.0 * METRIC_REL_TOLERANCE,
@@ -211,7 +189,7 @@ fn diff_row_metrics(
             // serialized as null) is consistently absent, not a drift.
             (None, None) => {}
             _ => report.regressions.push(format!(
-                "{kind} {key}: {metric} not comparable (baseline {b:?}, fresh {f:?})"
+                "case {key}: {metric} not comparable (baseline {b:?}, fresh {f:?})"
             )),
         }
     }
@@ -219,9 +197,9 @@ fn diff_row_metrics(
     // coverage — surface them like fresh-only rows.
     if let Json::Obj(fresh_pairs) = fresh_row {
         for (metric, _) in fresh_pairs {
-            if metric != key_field && base_row.get(metric).is_none() {
+            if metric != "case" && base_row.get(metric).is_none() {
                 report.notes.push(format!(
-                    "{kind} {key}: metric {metric} is new (not in baseline — refresh \
+                    "case {key}: metric {metric} is new (not in baseline — refresh \
                      to gate it)"
                 ));
             }
@@ -229,34 +207,27 @@ fn diff_row_metrics(
     }
 }
 
-/// Diffs one keyed section (`cases` by `case`, `scalars` by `scalar`):
-/// baseline rows missing fresh are regressions, metric drifts gate with
-/// relative tolerance, fresh-only rows are notes.
-fn diff_section(
-    report: &mut DiffReport,
-    baseline: &Json,
-    fresh: &Json,
-    section: &str,
-    key_field: &str,
-    kind: &str,
-) {
-    let fresh_rows: std::collections::HashMap<&str, &Json> =
-        rows_by_key(fresh, section, key_field).into_iter().collect();
+/// Diffs the `cases` sections: baseline cases missing fresh are
+/// regressions, metric drifts gate with relative tolerance, fresh-only
+/// cases are notes.
+fn diff_cases(report: &mut DiffReport, baseline: &Json, fresh: &Json) {
+    let fresh_rows = case_rows(fresh);
+    let fresh_by_key: std::collections::HashMap<&str, &Json> = fresh_rows.iter().copied().collect();
     let mut baseline_keys = std::collections::HashSet::new();
-    for (key, base_row) in rows_by_key(baseline, section, key_field) {
+    for (key, base_row) in case_rows(baseline) {
         baseline_keys.insert(key);
-        let Some(fresh_row) = fresh_rows.get(key) else {
+        let Some(fresh_row) = fresh_by_key.get(key) else {
             report
                 .regressions
-                .push(format!("{kind} {key}: present in baseline, missing fresh"));
+                .push(format!("case {key}: present in baseline, missing fresh"));
             continue;
         };
-        diff_row_metrics(report, kind, key, base_row, fresh_row, key_field);
+        diff_case_metrics(report, key, base_row, fresh_row);
     }
-    for (key, _) in rows_by_key(fresh, section, key_field) {
+    for (key, _) in fresh_rows {
         if !baseline_keys.contains(key) {
             report.notes.push(format!(
-                "{kind} {key}: new (not in baseline — refresh to gate it)"
+                "case {key}: new (not in baseline — refresh to gate it)"
             ));
         }
     }
@@ -264,7 +235,7 @@ fn diff_section(
 
 /// Diffs a fresh baseline document against the checked-in one.
 ///
-/// Means and scalars gate on relative drift beyond
+/// Per-case means gate on relative drift beyond
 /// [`METRIC_REL_TOLERANCE`]; fitted exponents gate on **bootstrap-CI
 /// overlap** (the [`EXPONENT_ABS_TOLERANCE`] band is only the fallback
 /// when either side lacks a CI), and growth-class flips gate outright
@@ -284,8 +255,7 @@ pub fn diff(baseline: &Json, fresh: &Json) -> DiffReport {
         }
     }
 
-    diff_section(&mut report, baseline, fresh, "scalars", "scalar", "scalar");
-    diff_section(&mut report, baseline, fresh, "cases", "case", "case");
+    diff_cases(&mut report, baseline, fresh);
 
     let fit_key = |row: &Json| -> Option<String> {
         Some(format!(
@@ -813,6 +783,26 @@ mod tests {
     }
 
     #[test]
+    fn new_algorithms_in_the_fresh_run_are_notes_not_regressions() {
+        // A baseline of one algorithm's slice, against a fresh run of the
+        // same slice for every algorithm: the other algorithms' cases and
+        // fits are new coverage, so the gate notes them and passes.
+        let mut flood_only = gate_config();
+        flood_only.algo = Some("naive_flood".into());
+        let baseline = baseline_doc(&run_experiment(
+            find_experiment("scenario_matrix").unwrap(),
+            &flood_only,
+        ));
+        let report = diff(&baseline, &baseline_doc(matrix_result()));
+        assert!(report.passed(), "{:?}", report.regressions);
+        assert!(
+            report.notes.iter().any(|n| n.contains("new")),
+            "{:?}",
+            report.notes
+        );
+    }
+
+    #[test]
     fn config_mismatch_is_a_regression() {
         let result = matrix_result();
         let baseline = baseline_doc(result);
@@ -854,26 +844,19 @@ mod tests {
     }
 
     #[test]
-    fn fig1_path_gates_scalars_and_planted_regression_fails() {
+    fn fig1_path_gates_within_2n_and_planted_regression_fails() {
         let result = experiment_result("fig1_path");
         let baseline = baseline_doc(&result);
-        // The within_2n rate is a gate scalar (Theorem 21's 2n deadline).
-        let scalars = baseline.get("scalars").unwrap().as_arr().unwrap();
-        assert!(
-            scalars
-                .iter()
-                .any(|s| s.get("scalar").and_then(Json::as_str) == Some("within_2n_rate")),
-            "{scalars:?}"
-        );
         // Identical rerun passes.
         let report = diff(&baseline, &baseline_doc(&result));
         assert!(report.passed(), "{:?}", report.regressions);
-        // Planted: the recorded delivery rate drops → the gate fails (the
-        // CLI maps this to a nonzero exit).
-        let planted = plant_section(&baseline, "scalars", |row| {
+        // Planted: halve each case's recorded within_2n mean (Theorem 21's
+        // 2n deadline) → the gate fails (the CLI maps this to a nonzero
+        // exit).
+        let planted = plant(&baseline, |row| {
             if let Json::Obj(pairs) = row {
                 for (k, v) in pairs.iter_mut() {
-                    if k == "value" {
+                    if k == "within_2n" {
                         if let Some(x) = v.as_f64() {
                             *v = Json::Num(x / 2.0);
                         }
@@ -884,10 +867,7 @@ mod tests {
         let report = diff(&planted, &baseline_doc(&result));
         assert!(!report.passed());
         assert!(
-            report
-                .regressions
-                .iter()
-                .any(|r| r.contains("within_2n_rate")),
+            report.regressions.iter().any(|r| r.contains("within_2n")),
             "{:?}",
             report.regressions
         );
@@ -897,15 +877,6 @@ mod tests {
     fn table1_lower_gates_slot_counts_and_planted_regression_fails() {
         let result = experiment_result("table1_lower");
         let baseline = baseline_doc(&result);
-        let scalars = baseline.get("scalars").unwrap().as_arr().unwrap();
-        for name in ["le_slots_mean_decay", "le_slots_mean_uniform"] {
-            assert!(
-                scalars
-                    .iter()
-                    .any(|s| s.get("scalar").and_then(Json::as_str) == Some(name)),
-                "missing {name}: {scalars:?}"
-            );
-        }
         let report = diff(&baseline, &baseline_doc(&result));
         assert!(report.passed(), "{:?}", report.regressions);
         // Planted: halve the recorded per-case le_slots means (as if the
@@ -969,7 +940,7 @@ mod tests {
             GateOutcome {
                 experiment: "fig1_path",
                 report: Ok(DiffReport {
-                    regressions: vec!["scalar within_2n_rate: drifted".into()],
+                    regressions: vec!["case graph=path/n=256: within_2n drifted".into()],
                     notes: vec![],
                 }),
                 cache: Some(CacheStats {
@@ -1019,7 +990,7 @@ mod tests {
             GateOutcome {
                 experiment: "fig1_path",
                 report: Ok(DiffReport {
-                    regressions: (0..7).map(|i| format!("scalar s{i}: drifted")).collect(),
+                    regressions: (0..7).map(|i| format!("case c{i}: drifted")).collect(),
                     notes: vec!["note".into()],
                 }),
                 cache: Some(CacheStats {
@@ -1050,8 +1021,8 @@ mod tests {
         );
         assert!(md.contains("**41 hits**"), "{md}");
         // Worst diffs truncate at five with a pointer to the artifact.
-        assert!(md.contains("scalar s4: drifted"), "{md}");
-        assert!(!md.contains("scalar s5: drifted"), "{md}");
+        assert!(md.contains("case c4: drifted"), "{md}");
+        assert!(!md.contains("case c5: drifted"), "{md}");
         assert!(md.contains("and 2 more"), "{md}");
         assert!(md.contains("gate error: cannot read baseline"), "{md}");
         // An all-pass gate renders the pass header and no diff sections.

@@ -57,7 +57,9 @@ pub fn code_digest() -> &'static str {
     env!("EBC_CODE_DIGEST")
 }
 
-fn canon_param(v: &Json) -> String {
+/// The text of one case param, as cache keys, baseline case keys and
+/// profile labels write it.
+pub(crate) fn canon_param(v: &Json) -> String {
     match v {
         Json::Str(s) => s.clone(),
         Json::Int(i) => i.to_string(),

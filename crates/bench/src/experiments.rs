@@ -41,152 +41,6 @@ pub struct ExperimentSpec {
     /// `runner` (which serves warm cells from the content-addressed cache
     /// when one is configured).
     pub run: fn(&RunConfig, &mut CaseRunner) -> ExperimentOutput,
-    /// Experiment-specific scalars for the baseline regression gate
-    /// (e.g. `fig1_path`'s `within_2n` rate, Theorem 2's slot counts) —
-    /// folded into [`ExperimentResult::gate_scalars`] next to the generic
-    /// per-experiment energy means. `None` for experiments whose per-case
-    /// summaries already say everything gateable.
-    pub gate: Option<fn(&ExperimentResult) -> Vec<GateScalar>>,
-}
-
-/// One named scalar an experiment exposes to the baseline regression
-/// gate, beyond its per-case summary means.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateScalar {
-    /// Stable scalar name (the baseline document key).
-    pub name: String,
-    /// The measured value.
-    pub value: f64,
-}
-
-impl GateScalar {
-    fn new(name: impl Into<String>, value: f64) -> GateScalar {
-        GateScalar {
-            name: name.into(),
-            value,
-        }
-    }
-}
-
-impl ExperimentResult {
-    /// The scalars the regression gate records and diffs, in stable order.
-    ///
-    /// Every result is gateable: the default scalars are the grand means
-    /// of the standard energy metrics over all cases, and specs with a
-    /// [`gate`] hook contribute their experiment-specific scalars
-    /// (delivery-deadline rates, lower-bound slot counts, …) on top. The
-    /// baseline gate records these under a `scalars` section and diffs
-    /// them with the same relative tolerance as per-case means.
-    ///
-    /// [`gate`]: ExperimentSpec::gate
-    pub fn gate_scalars(&self) -> Vec<GateScalar> {
-        let mut scalars = Vec::new();
-        // Per-experiment energy means: the grand mean over cases of each
-        // energy metric's per-case mean (skipped where a metric is absent
-        // or non-finite, so experiments without the standard metric set
-        // still gate on their own scalars).
-        for metric in ["energy_mean", "energy_max"] {
-            let means: Vec<f64> = self
-                .cases
-                .iter()
-                .filter_map(|c| c.summary.metric(metric).map(|s| s.mean))
-                .filter(|v| v.is_finite())
-                .collect();
-            if !means.is_empty() {
-                scalars.push(GateScalar::new(
-                    format!("{metric}_over_cases"),
-                    means.iter().sum::<f64>() / means.len() as f64,
-                ));
-            }
-        }
-        if let Some(gate) = self.spec.gate {
-            scalars.extend(gate(self));
-        }
-        scalars
-    }
-}
-
-/// The grand mean of `metric` over every measurement of every case
-/// (`None` when no measurement recorded it).
-fn measurement_mean(result: &ExperimentResult, metric: &str) -> Option<f64> {
-    let values: Vec<f64> = result
-        .cases
-        .iter()
-        .flat_map(|c| c.metric_values(metric))
-        .collect();
-    if values.is_empty() {
-        return None;
-    }
-    Some(values.iter().sum::<f64>() / values.len() as f64)
-}
-
-/// `fig1_path`'s gate scalars: the fraction of all runs delivering within
-/// the paper's worst-case `2n` deadline (Theorem 21 — must stay 1.0).
-fn gate_fig1_path(result: &ExperimentResult) -> Vec<GateScalar> {
-    measurement_mean(result, "within_2n")
-        .map(|rate| GateScalar::new("within_2n_rate", rate))
-        .into_iter()
-        .collect()
-}
-
-/// `table1_lower`'s gate scalars: Theorem 2's leader-election slot counts
-/// and election success rate per protocol — the measured side of the
-/// energy lower bound `E ≥ T_LE / 2`.
-fn gate_table1_lower(result: &ExperimentResult) -> Vec<GateScalar> {
-    let mut scalars = Vec::new();
-    for protocol in ["decay", "uniform"] {
-        let cases: Vec<&Case> = result
-            .cases
-            .iter()
-            .filter(|c| {
-                c.params
-                    .iter()
-                    .any(|(k, v)| *k == "protocol" && *v == Json::Str(protocol.into()))
-            })
-            .collect();
-        for metric in ["le_slots", "elected"] {
-            let values: Vec<f64> = cases.iter().flat_map(|c| c.metric_values(metric)).collect();
-            if !values.is_empty() {
-                scalars.push(GateScalar::new(
-                    format!("{metric}_mean_{protocol}"),
-                    values.iter().sum::<f64>() / values.len() as f64,
-                ));
-            }
-        }
-    }
-    scalars
-}
-
-/// `scenario_matrix`'s gate scalars: per fault-axis value, the grand
-/// `success_rate` (fraction of faulted runs where every surviving device
-/// ended informed) and mean `energy_overhead_vs_clean` over all faulted
-/// runs of that kind — the headline columns of the fault axis, gated so
-/// a fault-layer regression (faults silently not reaching the pipeline
-/// would push every success rate to 1.0 and every overhead to exactly
-/// 1.0) trips the baseline diff.
-fn gate_scenario_matrix(result: &ExperimentResult) -> Vec<GateScalar> {
-    let mut scalars = Vec::new();
-    for fault in ["slot-loss", "crash", "jammer"] {
-        let cases: Vec<&Case> = result
-            .cases
-            .iter()
-            .filter(|c| {
-                c.params
-                    .iter()
-                    .any(|(k, v)| *k == "fault" && *v == Json::Str(fault.into()))
-            })
-            .collect();
-        for metric in ["success_rate", "energy_overhead_vs_clean"] {
-            let values: Vec<f64> = cases.iter().flat_map(|c| c.metric_values(metric)).collect();
-            if !values.is_empty() {
-                scalars.push(GateScalar::new(
-                    format!("{metric}_{fault}"),
-                    values.iter().sum::<f64>() / values.len() as f64,
-                ));
-            }
-        }
-    }
-    scalars
 }
 
 /// What one experiment run produced: the parameter-point cases plus any
@@ -231,8 +85,8 @@ pub struct ExperimentResult {
 
 /// The JSON schema version stamped into every emitted file. Bump on any
 /// backwards-incompatible change to the document layout. (v2: baseline
-/// documents gained `scalars` and all-param case keys; scaling fits
-/// gained `exponent_ci` / `class_agreement` / `class_confident`.)
+/// case keys cover every param; scaling fits gained `exponent_ci` /
+/// `class_agreement` / `class_confident`.)
 pub const SCHEMA_VERSION: u32 = 2;
 
 impl ExperimentResult {
@@ -397,6 +251,13 @@ fn run_fig1_path(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutpu
             |seed| {
                 let (stats, sim) = path_broadcast(n, 0, true, seed);
                 assert!(stats.all_informed, "path broadcast failed (seed {seed})");
+                // Theorem 21: delivery within 2n in the worst case, for n a
+                // power of two and the source at an end of the oriented path.
+                assert!(
+                    stats.delivery_time <= 2 * n as u64,
+                    "path broadcast missed its 2n deadline (n {n}, seed {seed}, time {})",
+                    stats.delivery_time
+                );
                 let r = sim.meter().report();
                 vec![
                     ("time", stats.delivery_time as f64),
@@ -511,7 +372,6 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         paper: "O(D^{1+ε} log^{O(1/ε)} n) time vs Theorem 11's O(n logΔ log²n); on grids D = 2√n ≪ n",
         note: "Theorem 11's time scales with n, Theorem 16's with D·polylog — the gap widens as the grid grows",
         run: run_table1_dtime,
-        gate: None,
     },
     ExperimentSpec {
         name: "table1_lower",
@@ -519,7 +379,6 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         paper: "energy ≥ T_LE(Δ, f)/2: Ω(log n) in CD, Ω(logΔ log n) in No-CD",
         note: "No-CD election time grows with log k; CD stays near-flat (loglog k); broadcast energy dominates the bound",
         run: run_table1_lower,
-        gate: Some(gate_table1_lower),
     },
     ExperimentSpec {
         name: "fig1_path",
@@ -527,7 +386,6 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         paper: "worst-case time 2n, expected per-vertex energy O(log n)",
         note: "time stays under 2n at every size; mean energy tracks log n",
         run: run_fig1_path,
-        gate: Some(gate_fig1_path),
     },
     ExperimentSpec {
         name: "ablation",
@@ -535,7 +393,6 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         paper: "decay: O(logΔ log 1/f) receiver energy vs CD transform: O(loglogΔ + log 1/f); Partition(β): edge-cut ≤ 2β, diameter ×3β",
         note: "measured cut fractions sit under 2β; cluster-graph diameters under 3βD",
         run: run_ablation,
-        gate: None,
     },
     ExperimentSpec {
         name: "scenario_matrix",
@@ -543,7 +400,6 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         paper: "Table 1 as a whole: each algorithm's time/energy row holds in exactly its models; incompatible pairs are skipped and counted",
         note: "all_informed is 1.0 on every clean cell; under the fault axis success_rate degrades and energy_overhead_vs_clean exceeds 1 where retries are charged",
         run: crate::scenario::run_scenario_matrix,
-        gate: Some(gate_scenario_matrix),
     },
 ];
 

@@ -31,7 +31,7 @@
 //!   seed-level bootstrap driver.
 //! * [`baseline`] — checked-in baselines under `bench-baselines/` (one
 //!   per registered experiment) and the `--check-against` regression gate
-//!   diffing summaries, gate scalars, *and* exponent CIs.
+//!   diffing per-case summary means *and* exponent CIs.
 //! * [`json`] — the dependency-free JSON document model the results
 //!   serialize through (schema-stable field order), with a parser for
 //!   reading baselines back.

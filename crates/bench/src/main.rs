@@ -15,8 +15,8 @@
 //!
 //! `--check-against <dir>` turns the run into a regression gate over
 //! **every selected experiment** (all of them by default): each is
-//! re-run and its summary means, gate scalars, and fitted scaling
-//! exponents (by bootstrap-CI overlap) are diffed against the checked-in
+//! re-run and its per-case summary means and fitted scaling exponents
+//! (by bootstrap-CI overlap) are diffed against the checked-in
 //! `<dir>/<experiment>.json`, exiting nonzero on any out-of-tolerance
 //! drift and writing a per-experiment `BENCH_gate_report.json` (plus a
 //! markdown `BENCH_gate_summary.md` for CI step summaries) to the
@@ -86,8 +86,8 @@ Options:
                          JSON to PATH (plus a .jsonl sibling); load it at
                          https://ui.perfetto.dev or chrome://tracing
   --check-against <DIR>  Regression gate: run every selected experiment
-                         (default: all) and diff summary means, gate
-                         scalars, and scaling-exponent CIs against
+                         (default: all) and diff per-case summary means
+                         and scaling-exponent CIs against
                          <DIR>/<experiment>.json; writes
                          BENCH_gate_report.json and exits nonzero on drift
   --update-baselines     Rewrite bench-baselines/ (one file per registered

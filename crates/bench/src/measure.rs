@@ -400,29 +400,11 @@ fn ms(d: Duration) -> f64 {
 }
 
 fn label_of(params: &[(&'static str, Json)]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    for (k, v) in params {
-        if !s.is_empty() {
-            s.push(' ');
-        }
-        s.push_str(k);
-        s.push('=');
-        match v {
-            Json::Str(x) => s.push_str(x),
-            Json::Int(i) => {
-                let _ = write!(s, "{i}");
-            }
-            Json::Num(x) => {
-                let _ = write!(s, "{x}");
-            }
-            Json::Bool(b) => {
-                let _ = write!(s, "{b}");
-            }
-            _ => s.push('?'),
-        }
-    }
-    s
+    params
+        .iter()
+        .map(|(k, v)| format!("{k}={}", cache::canon_param(v)))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 impl RunnerProfile {

@@ -2,14 +2,11 @@
 //! experiment (params on the left, metric summaries on the right), the
 //! paper bound above, the expected shape below.
 //!
-//! Each metric gets two columns: its per-seed `mean ±std_dev`, and the
-//! width of the bootstrap 95% CI on that mean (`ci95w`, blank for
-//! single-seed cases) — a direct read on how much of a cell's value is
-//! seed noise. Every CI draws [`stats::DEFAULT_RESAMPLES`] resamples.
+//! Each metric gets one column: its per-seed `mean ±std_dev` (the mean
+//! alone where every seed agrees).
 
 use crate::experiments::ExperimentResult;
 use crate::json::Json;
-use crate::stats;
 
 /// Renders `result` as an aligned text table.
 pub fn render(result: &ExperimentResult) -> String {
@@ -40,11 +37,7 @@ pub fn render(result: &ExperimentResult) -> String {
     let header: Vec<String> = param_keys
         .iter()
         .map(|k| k.to_string())
-        .chain(
-            metric_keys
-                .iter()
-                .flat_map(|k| [format!("{k} (mean)"), format!("{k} (ci95w)")]),
-        )
+        .chain(metric_keys.iter().map(|k| format!("{k} (mean)")))
         .collect();
     for case in &result.cases {
         let mut row: Vec<String> = Vec::new();
@@ -56,14 +49,6 @@ pub fn render(result: &ExperimentResult) -> String {
                     .map_or(String::new(), |(_, v)| render_param(v)),
             );
         }
-        // The bootstrap streams are seeded from the case identity, so the
-        // rendered CI widths reproduce across reruns and machines.
-        let identity: String = case
-            .params
-            .iter()
-            .map(|(k, v)| format!("{k}={}", render_param(v)))
-            .collect::<Vec<_>>()
-            .join("/");
         for key in &metric_keys {
             row.push(case.summary.metric(key).map_or(String::new(), |s| {
                 if s.min == s.max {
@@ -72,16 +57,6 @@ pub fn render(result: &ExperimentResult) -> String {
                     format!("{} ±{}", format_num(s.mean), format_num(s.std_dev))
                 }
             }));
-            let values = case.metric_values(key);
-            let ci = if values.len() >= 2 {
-                let seed = stats::seed_from_parts(&[result.spec.name, &identity, key]);
-                stats::bootstrap_ci(&values, stats::DEFAULT_RESAMPLES, seed, |xs| {
-                    xs.iter().sum::<f64>() / xs.len() as f64
-                })
-            } else {
-                None
-            };
-            row.push(ci.map_or(String::new(), |(lo, hi)| format_num(hi - lo)));
         }
         rows.push(row);
     }
@@ -246,8 +221,6 @@ mod tests {
         assert!(text.contains("broadcast_theorem11"), "{text}");
         assert!(text.contains("energy_max"), "{text}");
         assert!(text.contains("shape:"), "{text}");
-        // Every metric gets its bootstrap-CI-width companion column.
-        assert!(text.contains("energy_max (ci95w)"), "{text}");
         // The wall-clock breakdown is rendered separately (it varies
         // between reruns, so it must stay out of the stable table).
         let profile = render_profile(&result);
@@ -257,10 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_seed_ci_columns_are_deterministic() {
-        // The CI bootstrap streams are seeded from (experiment, case
-        // identity, metric), so rendering the same result twice — and
-        // re-running the experiment — must produce identical tables.
+    fn rendered_tables_are_deterministic() {
+        // Re-running the experiment and rendering it again must produce
+        // an identical table.
         let config = RunConfig {
             seeds: Some(3),
             quick: true,
@@ -270,26 +242,6 @@ mod tests {
         let a = render(&run_experiment(spec, &config));
         let b = render(&run_experiment(spec, &config));
         assert_eq!(a, b);
-        // With three varying seeds at least one CI cell must be filled:
-        // strictly more non-blank columns than the mean columns alone
-        // would produce is hard to count positionally, so check the
-        // cheap invariant instead — some case varies and bootstrap_ci
-        // yields a width for it.
-        let result = run_experiment(spec, &config);
-        let case = result
-            .cases
-            .iter()
-            .find(|c| {
-                c.summary
-                    .metric("time")
-                    .is_some_and(|s| s.min != s.max && c.metric_values("time").len() >= 2)
-            })
-            .expect("some case varies across seeds");
-        let values = case.metric_values("time");
-        let ci = stats::bootstrap_ci(&values, stats::DEFAULT_RESAMPLES, 7, |xs| {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        });
-        assert!(ci.is_some(), "varying case yielded no CI");
     }
 
     #[test]

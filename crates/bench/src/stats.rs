@@ -120,33 +120,6 @@ pub fn percentile_ci(samples: &mut [f64]) -> Option<(f64, f64)> {
     Some((percentile(samples, tail), percentile(samples, 1.0 - tail)))
 }
 
-/// Bootstrap percentile CI of `stat` over with-replacement resamples of
-/// one flat sample. `None` if `values` is empty or every resample's
-/// statistic is non-finite.
-pub fn bootstrap_ci(
-    values: &[f64],
-    resamples: usize,
-    seed: u64,
-    stat: impl Fn(&[f64]) -> f64,
-) -> Option<(f64, f64)> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut r = Resampler::new(seed);
-    let mut scratch = vec![0.0; values.len()];
-    let mut stats: Vec<f64> = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        for slot in scratch.iter_mut() {
-            *slot = values[r.index(values.len())];
-        }
-        let s = stat(&scratch);
-        if s.is_finite() {
-            stats.push(s);
-        }
-    }
-    percentile_ci(&mut stats)
-}
-
 /// The seed-level bootstrap driver: runs `resamples` iterations over
 /// `groups` (one per-seed value vector per n-point), handing each
 /// iteration's resampled group means to `refit` and collecting its
@@ -230,34 +203,6 @@ mod tests {
         assert!(lo >= 1.0 && hi <= 3.0);
         assert!(percentile_ci(&mut []).is_none());
         assert!(percentile_ci(&mut [1.0, f64::NAN]).is_none());
-    }
-
-    #[test]
-    fn bootstrap_ci_of_constant_data_is_zero_width() {
-        let (lo, hi) = bootstrap_ci(&[5.0; 6], 100, 1, |xs| {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        })
-        .unwrap();
-        assert_eq!((lo, hi), (5.0, 5.0));
-        assert!(bootstrap_ci(&[], 100, 1, |_| 0.0).is_none());
-    }
-
-    #[test]
-    fn bootstrap_ci_of_the_mean_brackets_the_sample_mean() {
-        let values: Vec<f64> = (0..40).map(|i| f64::from(i % 7)).collect();
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let (lo, hi) = bootstrap_ci(&values, 500, 9, |xs| {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        })
-        .unwrap();
-        assert!(lo < mean && mean < hi, "[{lo}, {hi}] vs {mean}");
-        assert!(hi - lo < 2.0, "CI implausibly wide: [{lo}, {hi}]");
-        // Reproducible: the same seed yields the same interval.
-        let again = bootstrap_ci(&values, 500, 9, |xs| {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        })
-        .unwrap();
-        assert_eq!((lo, hi), again);
     }
 
     #[test]

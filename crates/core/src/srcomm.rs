@@ -27,7 +27,7 @@ use ebc_radio::{Action, Feedback, Model, NodeId, Schedule, Sim, SlotBehavior, Sp
 use ebc_singlehop::{Obs, UniformLeaderElection};
 use rand::Rng;
 
-use crate::util::{ceil_log2, IdIndex, NodeRngs, RoleMap};
+use crate::util::{ceil_log2, NodeRngs, RoleMap};
 
 /// Wrapper distinguishing payload messages from Remark 9 relevance markers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -550,8 +550,7 @@ fn run_marker_slot(
 /// State of one TDMA round.
 struct TdmaBehavior<'a, M> {
     senders: &'a [(NodeId, M)],
-    send_index: IdIndex,
-    recv_index: IdIndex,
+    roles: RoleMap,
     got: Vec<Option<M>>,
     colors: &'a [u32],
 }
@@ -559,7 +558,7 @@ struct TdmaBehavior<'a, M> {
 impl<M: Clone> SlotBehavior<M> for TdmaBehavior<'_, M> {
     fn act(&mut self, v: NodeId, t: u64) -> Action<M> {
         let c = t as u32;
-        if let Some(si) = self.send_index.get(v) {
+        if let Some(si) = self.roles.sender(v) {
             if self.colors[v] == c {
                 return Action::Send(self.senders[si].1.clone());
             }
@@ -568,7 +567,7 @@ impl<M: Clone> SlotBehavior<M> for TdmaBehavior<'_, M> {
             // Only scheduled in slots matching a neighbor's color — the
             // listen schedule every vertex knows after Learn-Degree +
             // coloring — so listen unless the message already arrived.
-            if self.got[self.recv_index.get(v).expect("participant is S or R")].is_none() {
+            if self.got[self.roles.receiver(v).expect("participant is S or R")].is_none() {
                 return Action::Listen;
             }
             Action::Idle
@@ -582,7 +581,7 @@ impl<M: Clone> SlotBehavior<M> for TdmaBehavior<'_, M> {
             _ => None,
         };
         if let Some(m) = m {
-            let slot = &mut self.got[self.recv_index.get(v).expect("listener is a receiver")];
+            let slot = &mut self.got[self.roles.receiver(v).expect("listener is a receiver")];
             if slot.is_none() {
                 *slot = Some(m);
             }
@@ -601,16 +600,12 @@ fn run_tdma<M: Clone + core::fmt::Debug>(
     // and a receiver only ever listens in its neighbors' color slots. Build
     // that sparse schedule once and let the engine batch-skip every other
     // slot instead of polling all participants through the whole frame.
-    let sender_set: std::collections::HashSet<NodeId> = senders.iter().map(|(v, _)| *v).collect();
     let mut per_slot: Vec<Vec<NodeId>> = vec![Vec::new(); num_colors as usize];
     for &(v, _) in senders {
         per_slot[colors[v] as usize].push(v);
     }
     let mut seen = vec![false; num_colors as usize];
     for &r in receivers {
-        if sender_set.contains(&r) {
-            continue; // senders never listen in a TDMA round
-        }
         for c in seen.iter_mut() {
             *c = false;
         }
@@ -630,8 +625,11 @@ fn run_tdma<M: Clone + core::fmt::Debug>(
     }
     let mut behavior = TdmaBehavior {
         senders,
-        send_index: IdIndex::new(senders.iter().map(|(v, _)| *v)),
-        recv_index: IdIndex::new(receivers.iter().copied()),
+        roles: RoleMap::new(
+            sim.graph().n(),
+            senders.iter().map(|(v, _)| *v),
+            receivers.iter().copied(),
+        ),
         got: vec![None; receivers.len()],
         colors,
     };

@@ -26,69 +26,15 @@ impl NodeRngs {
     }
 }
 
-/// A read-only map from device id to its position in a caller-owned list
-/// (e.g. a receiver's index into the aligned `got` results), backed by one
-/// sorted array and binary search.
-///
-/// The per-slot behaviors dispatch on "is `v` a sender, and which one?"
-/// every poll; a `HashMap` rebuilt per SR round costs an allocation per
-/// entry plus hashing per poll, where this is one flat sort and `O(log k)`
-/// probes of a cache-resident array.
-#[derive(Debug, Clone)]
-pub struct IdIndex {
-    /// `(id, position in the original list)`, sorted by id.
-    sorted: Vec<(NodeId, u32)>,
-}
-
-impl IdIndex {
-    /// An index over `ids`, remembering each id's original position.
-    ///
-    /// Ids must be distinct (as participant lists are).
-    pub fn new(ids: impl IntoIterator<Item = NodeId>) -> Self {
-        let mut sorted: Vec<(NodeId, u32)> = ids
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| (v, i as u32))
-            .collect();
-        sorted.sort_unstable();
-        IdIndex { sorted }
-    }
-
-    /// The original position of `v`, or `None` if absent.
-    #[inline]
-    pub fn get(&self, v: NodeId) -> Option<usize> {
-        self.sorted
-            .binary_search_by_key(&v, |&(id, _)| id)
-            .ok()
-            .map(|i| self.sorted[i].1 as usize)
-    }
-
-    /// Whether `v` is in the index.
-    #[inline]
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.sorted.binary_search_by_key(&v, |&(id, _)| id).is_ok()
-    }
-
-    /// The number of indexed ids.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-}
-
 /// O(1) vertex → SR-role lookup over the full id space: one flat `u32`
 /// per vertex holding "not a participant", "sender `si`", or "receiver
 /// `ri`".
 ///
 /// The SR behaviors ask "is `v` a sender, and which one?" on *every*
-/// poll; at `n = 10^6` participant sets, per-poll binary search
-/// ([`IdIndex`]) costs ~17 probes of a cold array and dominated the CD
-/// rounds. This map is one indexed load. Building it is `O(n)` — the same
-/// order as the participant list the round already builds.
+/// poll; at `n = 10^6` participant sets, per-poll binary search costs ~17
+/// probes of a cold array and dominated the CD rounds. This map is one
+/// indexed load. Building it is `O(n)` — the same order as the
+/// participant list the round already builds.
 #[derive(Debug)]
 pub struct RoleMap {
     /// `0` = no role; else index + 1, receivers tagged by the high bit.
@@ -191,18 +137,17 @@ mod tests {
     }
 
     #[test]
-    fn id_index_finds_original_positions() {
-        let idx = IdIndex::new([9usize, 2, 40, 7]);
-        assert_eq!(idx.get(9), Some(0));
-        assert_eq!(idx.get(2), Some(1));
-        assert_eq!(idx.get(40), Some(2));
-        assert_eq!(idx.get(7), Some(3));
-        assert_eq!(idx.get(8), None);
-        assert!(idx.contains(40));
-        assert!(!idx.contains(0));
-        assert_eq!(idx.len(), 4);
-        assert!(!idx.is_empty());
-        assert!(IdIndex::new([]).is_empty());
+    fn role_map_finds_original_positions() {
+        let roles = RoleMap::new(41, [9usize, 2], [40usize, 7]);
+        assert_eq!(roles.sender(9), Some(0));
+        assert_eq!(roles.sender(2), Some(1));
+        assert_eq!(roles.receiver(40), Some(0));
+        assert_eq!(roles.receiver(7), Some(1));
+        // Each vertex has at most one role.
+        assert_eq!(roles.receiver(9), None);
+        assert_eq!(roles.sender(40), None);
+        assert_eq!(roles.sender(8), None);
+        assert_eq!(roles.receiver(0), None);
     }
 
     #[test]

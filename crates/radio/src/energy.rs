@@ -14,8 +14,8 @@ pub struct EnergyMeter {
     listens: Vec<u64>,
     /// Sends charged in slots the fault layer lost or jammed — energy
     /// paid for transmissions nobody could decode (the retry cost of
-    /// unreliable channels). Always ≤ `sends`, element-wise.
-    lost_sends: Vec<u64>,
+    /// unreliable channels). Always ≤ the total of `sends`.
+    lost_sends: u64,
     last_active: Option<Slot>,
     idle_skipped: u64,
 }
@@ -26,7 +26,7 @@ impl EnergyMeter {
         EnergyMeter {
             sends: vec![0; n],
             listens: vec![0; n],
-            lost_sends: vec![0; n],
+            lost_sends: 0,
             last_active: None,
             idle_skipped: 0,
         }
@@ -61,22 +61,17 @@ impl EnergyMeter {
         self.idle_skipped
     }
 
-    /// Records that `v`'s already-charged send fell in a slot the fault
-    /// layer destroyed (lost or jammed) — the energy stays charged; this
-    /// counter makes the waste observable.
-    pub fn note_lost_send(&mut self, v: NodeId) {
-        self.lost_sends[v] += 1;
+    /// Records that `count` already-charged sends fell in a slot the
+    /// fault layer destroyed (lost or jammed) — the energy stays charged;
+    /// this counter makes the waste observable.
+    pub fn note_lost_sends(&mut self, count: u64) {
+        self.lost_sends += count;
     }
 
-    /// Sends by `v` that a fault destroyed (already counted in
+    /// Total fault-destroyed sends across all devices (already counted in
     /// [`EnergyMeter::sends`]).
-    pub fn lost_sends(&self, v: NodeId) -> u64 {
-        self.lost_sends[v]
-    }
-
-    /// Total fault-destroyed sends across all devices.
     pub fn total_lost_sends(&self) -> u64 {
-        self.lost_sends.iter().sum()
+        self.lost_sends
     }
 
     /// Total energy spent by `v` (sends + listens).
@@ -174,9 +169,7 @@ impl EnergyMeter {
         for (a, b) in self.listens.iter_mut().zip(&other.listens) {
             *a += b;
         }
-        for (a, b) in self.lost_sends.iter_mut().zip(&other.lost_sends) {
-            *a += b;
-        }
+        self.lost_sends += other.lost_sends;
         if let Some(t) = other.last_active {
             self.bump(t);
         }
@@ -352,14 +345,12 @@ mod tests {
     fn lost_sends_are_counted_and_merged() {
         let mut m = EnergyMeter::new(3);
         m.charge_send(0, 1);
-        m.note_lost_send(0);
+        m.note_lost_sends(1);
         m.charge_send(2, 2);
-        assert_eq!(m.lost_sends(0), 1);
-        assert_eq!(m.lost_sends(2), 0);
         assert_eq!(m.total_lost_sends(), 1);
         assert_eq!(m.report().lost_sends, 1);
         let mut other = EnergyMeter::new(3);
-        other.note_lost_send(2);
+        other.note_lost_sends(1);
         m.merge(&other);
         assert_eq!(m.total_lost_sends(), 2);
     }

@@ -685,9 +685,7 @@ impl Sim {
                 // Senders already paid for the attempt — that charge is
                 // the retry energy of unreliable channels; the meter
                 // tallies the wasted transmissions separately.
-                for (v, _) in senders.iter() {
-                    self.meter.note_lost_send(*v);
-                }
+                self.meter.note_lost_sends(senders.len() as u64);
                 if let Some(tel) = &mut self.telemetry {
                     for (v, _) in senders.iter() {
                         tel.note_lost(*v);
@@ -1653,7 +1651,6 @@ mod tests {
         drop(b);
         // The sender paid for all 5 attempts; all 5 were destroyed.
         assert_eq!(sim.meter().sends(1), 5);
-        assert_eq!(sim.meter().lost_sends(1), 5);
         assert_eq!(sim.meter().report().lost_sends, 5);
         // The listener still paid to listen to silence.
         assert_eq!(sim.meter().listens(0), 5);
